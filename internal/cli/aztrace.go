@@ -4,10 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"github.com/stellar-repro/stellar/internal/azuretrace"
+	"github.com/stellar-repro/stellar/internal/dist"
 	"github.com/stellar-repro/stellar/internal/plot"
 )
 
@@ -27,7 +27,7 @@ func cmdAzTrace(args []string, stdout io.Writer) error {
 	}
 	switch {
 	case *generate > 0:
-		records := azuretrace.Generate(*generate, rand.New(rand.NewSource(*seed)))
+		records := azuretrace.Generate(*generate, dist.NewStreams(*seed).Stream("aztrace"))
 		var w io.Writer = stdout
 		if *out != "" {
 			f, err := os.Create(*out)

@@ -4,8 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 
+	"github.com/stellar-repro/stellar/internal/dist"
 	"github.com/stellar-repro/stellar/internal/results"
 )
 
@@ -40,7 +40,7 @@ func cmdCompare(args []string, stdout io.Writer) error {
 			return fmt.Errorf("compare: %s is a sketch-only record; comparisons need raw samples (rerun without sketch summarization, e.g. `stellar bench -save`)", fs.Arg(i))
 		}
 	}
-	cmp := results.Compare(a, b, *confidence, *resamples, rand.New(rand.NewSource(*seed)))
+	cmp := results.Compare(a, b, *confidence, *resamples, dist.NewStreams(*seed).Stream("compare/bootstrap"))
 	cmp.Write(stdout)
 	return nil
 }

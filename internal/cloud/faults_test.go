@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/stellar-repro/stellar/internal/des"
 	"github.com/stellar-repro/stellar/internal/dist"
 )
 
@@ -102,18 +103,35 @@ func TestRetryLatencyExceedsCleanRun(t *testing.T) {
 func TestSpawnFailuresRetryUntilSuccess(t *testing.T) {
 	cfg := testConfig()
 	cfg.Faults = FaultConfig{SpawnFailureProb: 0.6}
-	eng, c := newTestCloud(t, cfg)
-	deploy(t, c, FunctionSpec{Name: "f"})
-	r := invokeAt(eng, c, 0, &Request{Fn: "f"})
-	eng.Run(5 * time.Minute) // stop before keep-alive reaps the instance
-	if r.err != nil {
-		t.Fatalf("cold start failed: %v", r.err)
-	}
-	if !r.resp.Cold {
-		t.Fatal("expected cold serve")
+	// A single cold start escapes failure with probability 0.4, so take the
+	// first seed whose stream samples at least one failed spawn.
+	var (
+		c *Cloud
+		r *result
+	)
+	for seed := int64(1); seed <= 64; seed++ {
+		eng := des.NewEngine()
+		t.Cleanup(eng.Close)
+		var err error
+		c, err = New(eng, cfg, dist.NewStreams(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		deploy(t, c, FunctionSpec{Name: "f"})
+		r = invokeAt(eng, c, 0, &Request{Fn: "f"})
+		eng.Run(5 * time.Minute) // stop before keep-alive reaps the instance
+		if r.err != nil {
+			t.Fatalf("seed %d: cold start failed: %v", seed, r.err)
+		}
+		if !r.resp.Cold {
+			t.Fatalf("seed %d: expected cold serve", seed)
+		}
+		if c.Metrics().SpawnFailures > 0 {
+			break
+		}
 	}
 	if c.Metrics().SpawnFailures == 0 {
-		t.Skip("no spawn failure sampled at this seed") // extremely unlikely at p=0.6
+		t.Fatal("no spawn failure sampled in 64 seeds at p=0.6")
 	}
 	// Worker reservations balance out: exactly one live instance.
 	total := 0

@@ -13,10 +13,13 @@ package dist
 // stream seeds and neighboring shard indices land in unrelated regions of
 // the seed space.
 
+// golden is SplitMix64's state increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
 // splitmix64 advances the SplitMix64 state x by the golden-gamma increment
 // and returns the mixed output.
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+	x += golden
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/stellar-repro/stellar/internal/azuretrace"
+	"github.com/stellar-repro/stellar/internal/dist"
 )
 
 // fig10Classes pairs duration classes with the paper's reported fraction of
@@ -39,8 +39,7 @@ func Fig10TraceTMR(opts Options) (*Fig10Result, error) {
 	if n < 2000 {
 		n = 2000
 	}
-	rng := rand.New(rand.NewSource(opts.Seed + 100))
-	records := azuretrace.Generate(n, rng)
+	records := azuretrace.Generate(n, dist.NewStreams(opts.Seed).Stream("fig10/trace"))
 	fig := &Figure{
 		ID:    "fig10",
 		Title: "TMR CDFs of per-function execution times (Azure trace)",
