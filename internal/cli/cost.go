@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 
 	"github.com/stellar-repro/stellar/internal/econ"
 	"github.com/stellar-repro/stellar/internal/experiments"
-	"github.com/stellar-repro/stellar/internal/providers"
 	"github.com/stellar-repro/stellar/internal/results"
 )
 
@@ -22,38 +20,22 @@ import (
 func cmdCost(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("cost", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	prof := addProfileFlags(fs)
-	provider := fs.String("provider", "aws", "provider profile")
-	providerFile := fs.String("provider-file", "", "JSON provider profile to load and use")
-	tenants := fs.Int("tenants", 500, "synthesized tenant population size")
-	duration := fs.Duration("duration", 10*time.Minute, "arrival window (virtual time)")
-	shards := fs.Int("shards", 8, "independent simulation shards per policy")
-	workers := fs.Int("workers", 0, "concurrent shard simulations (0 = all CPUs, 1 = serial)")
-	seed := fs.Int64("seed", 1, "random seed")
+	pf := addPopulationFlags(fs, 500, 10*time.Minute)
 	policies := fs.String("policies", "", "comma-separated control-plane policies: keepalive-<dur>, target-<n>, target-<n>-evict (default keepalive-5m,target-1,target-2,target-8-evict)")
 	plans := fs.String("plans", "", "comma-separated built-in billing plans (default all: "+strings.Join(econ.Plans(), ",")+")")
 	econConfig := fs.String("econ-config", "", "JSON econ config file; its autoscaler joins the sweep as policy \"custom\", its billing plan as a pricing column")
 	resumeDelay := fs.Duration("resume-delay", 50*time.Millisecond, "suspended-to-running resume latency under autoscaler policies")
-	slack := fs.Duration("slack", 0, "keep-alive timer slack: route expiries via the timer wheel at this tick (0 = exact)")
-	iatLo := fs.Duration("iat-lo", time.Second, "lower bound of per-tenant mean inter-arrival time")
-	iatHi := fs.Duration("iat-hi", time.Minute, "upper bound of per-tenant mean inter-arrival time")
-	alpha := fs.Float64("alpha", 0.02, "latency sketch relative accuracy")
-	maxConc := fs.Int("max-concurrency", 16, "per-tenant instance cap (-1 = uncapped)")
 	topology := fs.String("workflow", "", "also deploy this workflow preset and report its cost per application")
 	apps := fs.Uint64("apps", 64, "total workflow launches across shards (with -workflow)")
 	appIAT := fs.Duration("app-iat", 500*time.Millisecond, "inter-arrival time between workflow launches per shard")
 	appExec := fs.Duration("app-exec", 20*time.Millisecond, "per-node busy time of the workflow app")
-	engine := addEngineFlag(fs)
-	jsonPath := fs.String("json", "", "write the sweep as JSON to this file (\"-\" = stdout)")
-	csvPath := fs.String("csv", "", "write the sweep as CSV to this file (\"-\" = stdout)")
-	benchJSON := fs.String("bench-json", "", "write sweep throughput metrics as JSON to this file (\"-\" = stdout)")
 	savePath := fs.String("save", "", "save one policy's merged latency sketch as a results file")
 	savePolicy := fs.String("save-policy", "", "policy to save (default: the first swept policy)")
 	name := fs.String("name", "cost", "run name used in saved results")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := prof.start()
+	stopProf, err := pf.prof.start()
 	if err != nil {
 		return err
 	}
@@ -62,37 +44,15 @@ func cmdCost(args []string, stdout io.Writer) (err error) {
 			err = perr
 		}
 	}()
-	if *providerFile != "" {
-		loaded, err := providers.RegisterFile(*providerFile)
-		if err != nil {
-			return err
-		}
-		*provider = loaded
-	}
-	mode, err := engine.mode()
+	opts, err := pf.options()
 	if err != nil {
 		return err
 	}
-
-	opts := experiments.CostOptions{
-		Provider:       *provider,
-		Tenants:        *tenants,
-		Duration:       *duration,
-		Shards:         *shards,
-		Workers:        *workers,
-		Seed:           *seed,
-		ResumeDelay:    *resumeDelay,
-		SlackTick:      *slack,
-		MeanIATLo:      *iatLo,
-		MeanIATHi:      *iatHi,
-		Alpha:          *alpha,
-		MaxConcurrency: *maxConc,
-		Workflow:       *topology,
-		Apps:           *apps,
-		AppIAT:         *appIAT,
-		AppExec:        *appExec,
-		Engine:         mode,
-	}
+	opts.ResumeDelay = *resumeDelay
+	opts.Workflow = *topology
+	opts.Apps = *apps
+	opts.AppIAT = *appIAT
+	opts.AppExec = *appExec
 	if *policies != "" {
 		for _, p := range strings.Split(*policies, ",") {
 			pol, err := experiments.ParseCostPolicy(strings.TrimSpace(p))
@@ -165,49 +125,10 @@ func cmdCost(args []string, stdout io.Writer) (err error) {
 		wall.Seconds(), len(res.Points), invocations,
 		float64(invocations)/wall.Seconds(), float64(mem.HeapSys)/(1<<20))
 
-	if *benchJSON != "" {
-		bench := struct {
-			Tenants        int     `json:"tenants"`
-			Policies       int     `json:"policies"`
-			Plans          int     `json:"plans"`
-			Invocations    uint64  `json:"invocations"`
-			WallSeconds    float64 `json:"wall_seconds"`
-			InvocsPerSec   float64 `json:"invocations_per_sec"`
-			PeakHeapBytes  uint64  `json:"peak_heap_bytes"`
-			HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
-		}{
-			Tenants:        res.Tenants,
-			Policies:       len(res.Points),
-			Invocations:    invocations,
-			WallSeconds:    wall.Seconds(),
-			InvocsPerSec:   float64(invocations) / wall.Seconds(),
-			PeakHeapBytes:  mem.HeapSys,
-			HeapAllocBytes: mem.HeapAlloc,
-		}
-		if len(res.Points) > 0 {
-			bench.Plans = len(res.Points[0].Plans)
-		}
-		if err := writeTo(*benchJSON, stdout, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(bench)
-		}); err != nil {
-			return err
-		}
-	}
-	if *jsonPath != "" {
-		if err := writeTo(*jsonPath, stdout, func(w io.Writer) error {
-			return experiments.WriteCostJSON(w, res)
-		}); err != nil {
-			return err
-		}
-	}
-	if *csvPath != "" {
-		if err := writeTo(*csvPath, stdout, func(w io.Writer) error {
-			return experiments.WriteCostCSV(w, res)
-		}); err != nil {
-			return err
-		}
+	if err := pf.write(stdout, res, func(w io.Writer) error {
+		return experiments.WriteCostCSV(w, res)
+	}); err != nil {
+		return err
 	}
 	if *savePath != "" {
 		point := &res.Points[0]

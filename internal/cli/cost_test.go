@@ -14,14 +14,13 @@ func TestCostCommand(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "cost.json")
 	csvPath := filepath.Join(dir, "cost.csv")
-	benchPath := filepath.Join(dir, "bench.json")
 	savePath := filepath.Join(dir, "point.json")
 	code, out, errOut := run(t, "cost",
 		"-provider", "aws", "-tenants", "24", "-duration", "30s",
 		"-shards", "4", "-seed", "5",
 		"-policies", "keepalive-1m,target-1,target-4-evict",
 		"-iat-lo", "200ms", "-iat-hi", "2s",
-		"-json", jsonPath, "-csv", csvPath, "-bench-json", benchPath,
+		"-json", jsonPath, "-csv", csvPath,
 		"-save", savePath, "-save-policy", "target-1", "-name", "sweep")
 	if code != 0 {
 		t.Fatalf("code=%d err=%q", code, errOut)
@@ -62,23 +61,6 @@ func TestCostCommand(t *testing.T) {
 	}
 	if lines := strings.Count(string(csv), "\n"); lines != 7 { // header + 3 policies x 2 plans
 		t.Fatalf("csv lines = %d, want 7:\n%s", lines, csv)
-	}
-
-	bench, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bj struct {
-		Policies     int     `json:"policies"`
-		Plans        int     `json:"plans"`
-		Invocations  uint64  `json:"invocations"`
-		InvocsPerSec float64 `json:"invocations_per_sec"`
-	}
-	if err := json.Unmarshal(bench, &bj); err != nil {
-		t.Fatal(err)
-	}
-	if bj.Policies != 3 || bj.Plans != 2 || bj.Invocations == 0 || bj.InvocsPerSec <= 0 {
-		t.Fatalf("bad bench JSON: %+v", bj)
 	}
 
 	rec, err := results.Load(savePath)

@@ -16,7 +16,7 @@ type engineFlag struct {
 
 func addEngineFlag(fs *flag.FlagSet) engineFlag {
 	return engineFlag{val: fs.String("engine", "auto",
-		"execution form: proc (goroutine per request), callback (event-callback warm path), or auto")}
+		"execution form: proc (goroutine per request) or auto (event-callback warm path, procs for the rest)")}
 }
 
 // mode parses the flag value, rejecting unknown spellings.

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -103,9 +104,7 @@ func cmdFaults(args []string, stdout io.Writer) (err error) {
 	}
 	experiments.WriteFaultsReport(stdout, res)
 	if *jsonPath != "" {
-		if err := writeTo(*jsonPath, stdout, func(w io.Writer) error {
-			return experiments.WriteFaultsJSON(w, res)
-		}); err != nil {
+		if err := writeJSON(*jsonPath, stdout, res); err != nil {
 			return err
 		}
 	}
@@ -133,6 +132,16 @@ func writeTo(path string, stdout io.Writer, emit func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// writeJSON writes v as indented JSON through writeTo: the one JSON writer
+// behind every sweep's -json output.
+func writeJSON(path string, stdout io.Writer, v any) error {
+	return writeTo(path, stdout, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
 // parseFloats parses a comma-separated float list ("" = nil for defaults).

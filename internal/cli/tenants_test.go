@@ -12,11 +12,10 @@ func TestTenantsCommand(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "tenants.json")
 	csvPath := filepath.Join(dir, "tenants.csv")
-	benchPath := filepath.Join(dir, "bench.json")
 	code, out, errOut := run(t, "tenants",
 		"-provider", "aws", "-tenants", "30", "-duration", "4m",
 		"-shards", "4", "-seed", "5", "-keepalives", "1m,10m", "-top", "2",
-		"-json", jsonPath, "-csv", csvPath, "-bench-json", benchPath)
+		"-json", jsonPath, "-csv", csvPath)
 	if code != 0 {
 		t.Fatalf("code=%d err=%q", code, errOut)
 	}
@@ -54,21 +53,6 @@ func TestTenantsCommand(t *testing.T) {
 	if lines := strings.Count(string(csv), "\n"); lines != 3 { // header + 2 points
 		t.Fatalf("csv lines = %d, want 3:\n%s", lines, csv)
 	}
-
-	bench, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bj struct {
-		Invocations  uint64  `json:"invocations"`
-		InvocsPerSec float64 `json:"invocations_per_sec"`
-	}
-	if err := json.Unmarshal(bench, &bj); err != nil {
-		t.Fatal(err)
-	}
-	if bj.Invocations == 0 || bj.InvocsPerSec <= 0 {
-		t.Fatalf("bad bench JSON: %+v", bj)
-	}
 }
 
 func TestTenantsCommandBadFlags(t *testing.T) {
@@ -80,5 +64,25 @@ func TestTenantsCommandBadFlags(t *testing.T) {
 	}
 	if code, _, _ := run(t, "tenants", "-provider", "nope", "-tenants", "2", "-duration", "1m"); code == 0 {
 		t.Fatal("unknown provider accepted")
+	}
+}
+
+// TestBadAlphaRejected: an out-of-range or NaN sketch accuracy is a flag
+// error, not a panic inside a shard goroutine or a failed merge.
+func TestBadAlphaRejected(t *testing.T) {
+	for _, cmd := range [][]string{
+		{"tenants", "-tenants", "4", "-duration", "1m", "-shards", "2"},
+		{"cost", "-tenants", "4", "-duration", "1m", "-shards", "2"},
+		{"scale", "-n", "100", "-shards", "2"},
+	} {
+		for _, alpha := range []string{"-0.5", "5", "NaN"} {
+			code, _, errOut := run(t, append(cmd, "-alpha", alpha)...)
+			if code == 0 {
+				t.Errorf("%s -alpha %s: accepted", cmd[0], alpha)
+			}
+			if !strings.Contains(errOut, "alpha") {
+				t.Errorf("%s -alpha %s: error %q does not name alpha", cmd[0], alpha, errOut)
+			}
+		}
 	}
 }

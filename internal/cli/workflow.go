@@ -1,12 +1,10 @@
 package cli
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -48,7 +46,6 @@ func cmdWorkflow(args []string, stdout io.Writer) (err error) {
 	out := fs.String("out", "", "write retained workflow traces as Chrome trace_event JSON")
 	savePath := fs.String("save", "", "save the run (makespans + edge sketches + traces) as a results file")
 	name := fs.String("name", "workflow", "run name used in saved results")
-	benchJSON := fs.String("bench-json", "", "write workflow replay throughput metrics as JSON to this file (\"-\" = stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -119,52 +116,11 @@ func cmdWorkflow(args []string, stdout io.Writer) (err error) {
 		return nil
 	}
 
-	wallStart := time.Now()
 	res, err := experiments.RunWorkflow(opts)
 	if err != nil {
 		return err
 	}
-	wall := time.Since(wallStart)
 	experiments.WriteWorkflowReport(stdout, res)
-
-	if *benchJSON != "" {
-		var invocations uint64
-		for _, m := range res.CloudMetrics {
-			invocations += m.Invocations + m.InternalInvocations
-		}
-		var mem runtime.MemStats
-		runtime.ReadMemStats(&mem)
-		bench := struct {
-			Topology       string  `json:"topology"`
-			Workflows      uint64  `json:"workflows"`
-			Nodes          int     `json:"nodes"`
-			Edges          int     `json:"edges"`
-			Invocations    uint64  `json:"invocations"`
-			WallSeconds    float64 `json:"wall_seconds"`
-			WorkflowsPerS  float64 `json:"workflows_per_sec"`
-			InvocsPerSec   float64 `json:"invocations_per_sec"`
-			PeakHeapBytes  uint64  `json:"peak_heap_bytes"`
-			HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
-		}{
-			Topology:       res.Topology,
-			Workflows:      res.Workflows,
-			Nodes:          len(res.DAG.Nodes),
-			Edges:          len(res.DAG.Edges),
-			Invocations:    invocations,
-			WallSeconds:    wall.Seconds(),
-			WorkflowsPerS:  float64(res.Workflows) / wall.Seconds(),
-			InvocsPerSec:   float64(invocations) / wall.Seconds(),
-			PeakHeapBytes:  mem.HeapSys,
-			HeapAllocBytes: mem.HeapAlloc,
-		}
-		if err := writeTo(*benchJSON, stdout, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(bench)
-		}); err != nil {
-			return err
-		}
-	}
 
 	if *out != "" {
 		f, err := os.Create(*out)

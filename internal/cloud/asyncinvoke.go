@@ -123,7 +123,7 @@ func (c *Cloud) callbackEligible(req *Request, fn *Function) bool {
 // InvokeAsync executes one invocation and delivers the outcome to done
 // exactly once, at the virtual instant the response reaches the client.
 // The request begins at the current instant (like Spawn, execution starts
-// when the engine reaches it). Under EngineAuto/EngineCallback, eligible
+// when the engine reaches it). Under EngineAuto, eligible
 // warm-path requests run as a callback chain with zero goroutine switches
 // and zero steady-state allocations; everything else — and every request
 // under EngineProc — runs the classic Invoke proc, so both forms produce

@@ -46,7 +46,7 @@ func runForm(t *testing.T, cfg Config, callback bool, n, burst int, iat, exec ti
 	req := &Request{Fn: "f"}
 
 	if callback {
-		c.SetEngineMode(EngineCallback)
+		c.SetEngineMode(EngineAuto)
 		done := func(_ *Response, err error) {
 			if err != nil {
 				out.errs = append(out.errs, err.Error())
@@ -258,7 +258,7 @@ func TestAllocFreeCallbackChain(t *testing.T) {
 	if err := c.Deploy(FunctionSpec{Name: "f", Runtime: RuntimePython, Method: DeployZIP}); err != nil {
 		t.Fatal(err)
 	}
-	c.SetEngineMode(EngineCallback)
+	c.SetEngineMode(EngineAuto)
 	req := &Request{Fn: "f"}
 	done := func(_ *Response, err error) {
 		if err != nil {

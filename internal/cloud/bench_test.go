@@ -153,7 +153,7 @@ func BenchmarkWarmInvokeCallback(b *testing.B) {
 	if err := c.Deploy(FunctionSpec{Name: "f", Runtime: RuntimePython, Method: DeployZIP}); err != nil {
 		b.Fatal(err)
 	}
-	c.SetEngineMode(EngineCallback)
+	c.SetEngineMode(EngineAuto)
 	req := &Request{Fn: "f"}
 	remaining := b.N
 	var done func(*Response, error)

@@ -213,7 +213,7 @@ func TestAutoscalerEvict(t *testing.T) {
 // forms: with MaxConcurrent=2, a 5-wide simultaneous burst admits 2 and
 // rejects 3 with ErrConcurrencyLimit.
 func TestConcurrencyLimit(t *testing.T) {
-	for _, mode := range []EngineMode{EngineProc, EngineCallback} {
+	for _, mode := range []EngineMode{EngineProc, EngineAuto} {
 		t.Run(mode.String(), func(t *testing.T) {
 			eng, c := newTestCloud(t, testConfig())
 			c.SetEngineMode(mode)
@@ -268,7 +268,7 @@ func econFingerprint(c *Cloud, lats []time.Duration) string {
 
 // TestEconFormsEquivalent extends the proc/callback equivalence contract to
 // the autoscaler control plane: the same bursty workload under EngineProc
-// and EngineCallback produces identical latencies, counters, and usage.
+// and EngineAuto produces identical latencies, counters, and usage.
 func TestEconFormsEquivalent(t *testing.T) {
 	run := func(mode EngineMode) string {
 		eng := des.NewEngine()
@@ -304,7 +304,7 @@ func TestEconFormsEquivalent(t *testing.T) {
 		eng.Run(0)
 		return econFingerprint(c, lats)
 	}
-	proc, callback := run(EngineProc), run(EngineCallback)
+	proc, callback := run(EngineProc), run(EngineAuto)
 	if proc != callback {
 		t.Fatalf("forms diverge under autoscaler:\n proc:     %s\n callback: %s", proc, callback)
 	}

@@ -16,10 +16,6 @@ const (
 	// EngineProc forces every invocation onto the goroutine proc path,
 	// reproducing the pre-callback engine exactly.
 	EngineProc
-	// EngineCallback is EngineAuto under its explicit name: requests that
-	// qualify for the callback form take it, the rest fall back to procs.
-	// Selecting it documents intent in differential tests and CLI runs.
-	EngineCallback
 )
 
 // String renders the mode as its CLI spelling.
@@ -27,8 +23,6 @@ func (m EngineMode) String() string {
 	switch m {
 	case EngineProc:
 		return "proc"
-	case EngineCallback:
-		return "callback"
 	default:
 		return "auto"
 	}
@@ -41,10 +35,8 @@ func ParseEngineMode(s string) (EngineMode, error) {
 		return EngineAuto, nil
 	case "proc":
 		return EngineProc, nil
-	case "callback":
-		return EngineCallback, nil
 	}
-	return EngineAuto, fmt.Errorf("cloud: unknown engine mode %q (want proc, callback, or auto)", s)
+	return EngineAuto, fmt.Errorf("cloud: unknown engine mode %q (want proc or auto)", s)
 }
 
 // SetEngineMode selects the execution form for subsequent InvokeAsync

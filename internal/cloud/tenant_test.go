@@ -95,7 +95,7 @@ func TestMaxInstancesCap(t *testing.T) {
 // tenant's successful external latencies, and the cloud-wide recorder sees
 // everything.
 func TestFunctionRecorderIsolation(t *testing.T) {
-	for _, mode := range []EngineMode{EngineProc, EngineCallback} {
+	for _, mode := range []EngineMode{EngineProc, EngineAuto} {
 		eng, c := newTestCloud(t, testConfig())
 		deploy(t, c, FunctionSpec{Name: "a"})
 		deploy(t, c, FunctionSpec{Name: "b"})

@@ -1,10 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -190,73 +191,64 @@ func (o CostOptions) normalized() CostOptions {
 
 func (o CostOptions) validate() error {
 	if o.Provider == "" {
-		return fmt.Errorf("cost: provider is required")
+		return fmt.Errorf("provider is required")
 	}
 	if o.Tenants <= 0 {
-		return fmt.Errorf("cost: need at least one tenant")
+		return fmt.Errorf("need at least one tenant")
 	}
 	if o.Duration <= 0 {
-		return fmt.Errorf("cost: duration must be positive")
+		return fmt.Errorf("duration must be positive")
 	}
 	seen := make(map[string]bool, len(o.Policies))
 	for i := range o.Policies {
 		p := &o.Policies[i]
 		if p.Name == "" {
-			return fmt.Errorf("cost: policy %d has no name", i)
+			return fmt.Errorf("policy %d has no name", i)
 		}
 		if seen[p.Name] {
-			return fmt.Errorf("cost: duplicate policy %q", p.Name)
+			return fmt.Errorf("duplicate policy %q", p.Name)
 		}
 		seen[p.Name] = true
 		if p.Autoscaler != nil {
 			if err := p.Autoscaler.Validate(); err != nil {
-				return fmt.Errorf("cost: policy %q: %w", p.Name, err)
+				return fmt.Errorf("policy %q: %w", p.Name, err)
 			}
 		} else if p.KeepAlive <= 0 {
-			return fmt.Errorf("cost: policy %q needs a positive keep-alive or an autoscaler", p.Name)
+			return fmt.Errorf("policy %q needs a positive keep-alive or an autoscaler", p.Name)
 		}
 	}
 	seenPlan := make(map[string]bool, len(o.Plans))
 	for i := range o.Plans {
 		plan := &o.Plans[i]
 		if plan.Name == "" {
-			return fmt.Errorf("cost: plan %d has no name", i)
+			return fmt.Errorf("plan %d has no name", i)
 		}
 		if seenPlan[plan.Name] {
-			return fmt.Errorf("cost: duplicate plan %q", plan.Name)
+			return fmt.Errorf("duplicate plan %q", plan.Name)
 		}
 		seenPlan[plan.Name] = true
 		if err := plan.Validate(); err != nil {
-			return fmt.Errorf("cost: plan %q: %w", plan.Name, err)
+			return fmt.Errorf("plan %q: %w", plan.Name, err)
 		}
 	}
 	if o.MeanIATLo > o.MeanIATHi {
-		return fmt.Errorf("cost: mean IAT bounds inverted (%v > %v)", o.MeanIATLo, o.MeanIATHi)
+		return fmt.Errorf("mean IAT bounds inverted (%v > %v)", o.MeanIATLo, o.MeanIATHi)
 	}
 	if o.SlackTick < 0 {
-		return fmt.Errorf("cost: negative slack tick")
+		return fmt.Errorf("negative slack tick")
+	}
+	if err := sketch.ValidateAlpha(o.Alpha); err != nil {
+		return err
 	}
 	if o.Workflow != "" {
 		if _, err := workflow.Preset(o.Workflow, workflow.PresetSpec{}); err != nil {
-			return fmt.Errorf("cost: %w", err)
+			return err
 		}
 		if o.Apps > 0 && uint64(o.Shards) > o.Apps {
-			return fmt.Errorf("cost: %d shards for %d workflow launches", o.Shards, o.Apps)
+			return fmt.Errorf("%d shards for %d workflow launches", o.Shards, o.Apps)
 		}
 	}
 	return nil
-}
-
-// tenantsView projects the cost options onto the tenant-population
-// synthesizer, so both experiments draw the identical population from the
-// same seed.
-func (o CostOptions) tenantsView() TenantsOptions {
-	return TenantsOptions{
-		Seed:      o.Seed,
-		Tenants:   o.Tenants,
-		MeanIATLo: o.MeanIATLo,
-		MeanIATHi: o.MeanIATHi,
-	}
 }
 
 // CostPlanPoint is one (policy, plan) cell of the sweep: the replay's usage
@@ -293,15 +285,15 @@ type CostAppPoint struct {
 // CostPolicyPoint is one control-plane policy's merged outcome across
 // shards, plus its pricing under every plan.
 type CostPolicyPoint struct {
-	Policy      string `json:"policy"`
-	Autoscaled  bool   `json:"autoscaled"`
-	Invocations uint64 `json:"invocations"`
-	ColdServed  uint64 `json:"cold_served"`
-	WarmServed  uint64 `json:"warm_served"`
-	Errors      uint64 `json:"errors"`
-	Expirations uint64 `json:"expirations"`
-	Suspends    uint64 `json:"suspends"`
-	Resumes     uint64 `json:"resumes"`
+	Policy      string  `json:"policy"`
+	Autoscaled  bool    `json:"autoscaled"`
+	Invocations uint64  `json:"invocations"`
+	ColdServed  uint64  `json:"cold_served"`
+	WarmServed  uint64  `json:"warm_served"`
+	Errors      uint64  `json:"errors"`
+	Expirations uint64  `json:"expirations"`
+	Suspends    uint64  `json:"suspends"`
+	Resumes     uint64  `json:"resumes"`
 	ColdRate    float64 `json:"cold_rate"`
 	// Usage is the fleet's metered resource consumption; pricing derives
 	// from it at read time, so every plan shares one replay.
@@ -313,6 +305,9 @@ type CostPolicyPoint struct {
 	App             *CostAppPoint   `json:"app,omitempty"`
 
 	sketch *sketch.Sketch
+	// worst holds the top worst tenants by p99, when the tenants preset
+	// asks for them.
+	worst []TenantStat
 }
 
 // LatencySketch returns the policy's merged tenant-latency sketch (nil on
@@ -330,8 +325,8 @@ type CostResult struct {
 	Points   []CostPolicyPoint `json:"points"`
 }
 
-// costShard is one (policy, shard) simulation's raw outcome.
-type costShard struct {
+// populationShard is one (policy, shard) simulation's raw outcome.
+type populationShard struct {
 	inv, cold, warm, errs uint64
 	expirations           uint64
 	suspends, resumes     uint64
@@ -339,6 +334,8 @@ type costShard struct {
 	usage                 econ.Usage
 	sk                    *sketch.Sketch
 	virtual               time.Duration
+	// tenants holds one stat per tenant, only when asked for.
+	tenants []TenantStat
 
 	appLaunched, appCompleted, appFailed uint64
 	appUsage                             econ.Usage
@@ -350,18 +347,29 @@ type costShard struct {
 // metered usage is priced under every plan, and Pareto frontiers are marked
 // per plan on (cost-per-million-requests, p99).
 func RunCost(opts CostOptions) (*CostResult, error) {
+	res, err := runPopulation(opts, 0)
+	if err != nil {
+		return nil, fmt.Errorf("cost: %w", err)
+	}
+	return res, nil
+}
+
+// runPopulation is the one population replay behind both the cost sweep
+// and its keep-alive preset, the tenants sweep. With top > 0 it also keeps
+// each policy's top worst tenants by p99.
+func runPopulation(opts CostOptions, top int) (*CostResult, error) {
 	opts = opts.normalized()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	pop := synthesizeTenants(opts.tenantsView())
+	pop := synthesizeTenants(opts)
 
 	units := len(opts.Policies) * opts.Shards
 	shards, err := runner.Map(runner.Pool{Workers: opts.Workers, Seed: opts.Seed}, units,
-		func(sh runner.Shard) (*costShard, error) {
+		func(sh runner.Shard) (*populationShard, error) {
 			pol := opts.Policies[sh.Index/opts.Shards]
 			shardIdx := sh.Index % opts.Shards
-			return runCostShard(opts, pop, pol, shardIdx)
+			return runPopulationShard(opts, pop, pol, shardIdx, top > 0)
 		})
 	if err != nil {
 		return nil, err
@@ -395,19 +403,20 @@ func RunCost(opts CostOptions) (*CostResult, error) {
 			point.Usage.Add(sh.usage)
 			if sh.sk.Count() > 0 {
 				if err := point.sketch.Merge(sh.sk); err != nil {
-					return nil, fmt.Errorf("cost: merging shard sketch: %w", err)
+					return nil, fmt.Errorf("merging shard sketch: %w", err)
 				}
 			}
 			if sh.virtual > point.VirtualTime {
 				point.VirtualTime = sh.virtual
 			}
+			point.worst = append(point.worst, sh.tenants...)
 			app.Launched += sh.appLaunched
 			app.Completed += sh.appCompleted
 			app.Failed += sh.appFailed
 			app.Usage.Add(sh.appUsage)
 			if sh.appSk != nil && sh.appSk.Count() > 0 {
 				if err := appSk.Merge(sh.appSk); err != nil {
-					return nil, fmt.Errorf("cost: merging app sketch: %w", err)
+					return nil, fmt.Errorf("merging app sketch: %w", err)
 				}
 			}
 		}
@@ -416,6 +425,20 @@ func RunCost(opts CostOptions) (*CostResult, error) {
 		}
 		if point.sketch.Count() > 0 {
 			point.Latency = point.sketch.Summarize()
+		}
+		if top > 0 {
+			// Tenants live in exactly one shard, so the concatenation holds
+			// each exactly once; sort by p99 descending, name-tie-broken.
+			sort.Slice(point.worst, func(i, j int) bool {
+				a, b := point.worst[i], point.worst[j]
+				if a.P99 != b.P99 {
+					return a.P99 > b.P99
+				}
+				return a.Name < b.Name
+			})
+			if len(point.worst) > top {
+				point.worst = point.worst[:top]
+			}
 		}
 		if opts.Workflow != "" {
 			app.Topology = opts.Workflow
@@ -440,38 +463,46 @@ func RunCost(opts CostOptions) (*CostResult, error) {
 		}
 		res.Points = append(res.Points, point)
 	}
-	markCostPareto(res.Points, len(opts.Plans))
+	// Within each plan, mark the policies not dominated on
+	// (CostPerMReq, P99).
+	for pj := range opts.Plans {
+		front := paretoFront(len(res.Points), func(i int) (float64, time.Duration) {
+			cell := &res.Points[i].Plans[pj]
+			return cell.CostPerMReq, cell.P99
+		})
+		for i, on := range front {
+			res.Points[i].Plans[pj].Pareto = on
+		}
+	}
 	return res, nil
 }
 
-// markCostPareto flags, within each plan, the policies not dominated on
-// minimizing (CostPerMReq, P99).
-func markCostPareto(points []CostPolicyPoint, plans int) {
-	for pj := 0; pj < plans; pj++ {
-		for i := range points {
-			a := &points[i].Plans[pj]
-			dominated := false
-			for j := range points {
-				if j == i {
-					continue
-				}
-				b := &points[j].Plans[pj]
-				if b.CostPerMReq <= a.CostPerMReq && b.P99 <= a.P99 &&
-					(b.CostPerMReq < a.CostPerMReq || b.P99 < a.P99) {
-					dominated = true
-					break
-				}
+// paretoFront reports which of n points are not dominated when minimizing
+// both coordinates. A point is dominated only by one at least as good on
+// both and strictly better on one, so exact ties and duplicates all stay
+// on the front together.
+func paretoFront[X, Y cmp.Ordered](n int, at func(i int) (X, Y)) []bool {
+	front := make([]bool, n)
+	for i := range front {
+		xi, yi := at(i)
+		front[i] = true
+		for j := range n {
+			xj, yj := at(j)
+			if j != i && xj <= xi && yj <= yi && (xj < xi || yj < yi) {
+				front[i] = false
+				break
 			}
-			a.Pareto = !dominated
 		}
 	}
+	return front
 }
 
-// runCostShard replays this shard's slice of the population under one
+// runPopulationShard replays this shard's slice of the population under one
 // control-plane policy. The shard seed ignores the policy index on purpose:
 // every policy sees identical arrivals and execution draws, isolating the
-// control plane as the only difference between frontier points.
-func runCostShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx int) (*costShard, error) {
+// control plane as the only difference between frontier points. With
+// perTenant set it also reports one TenantStat per tenant.
+func runPopulationShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx int, perTenant bool) (*populationShard, error) {
 	cfg, err := providers.Get(opts.Provider)
 	if err != nil {
 		return nil, err
@@ -485,19 +516,18 @@ func runCostShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx i
 	}
 	cfg.KeepAliveSlack = opts.SlackTick
 
-	out := &costShard{sk: sketch.New(opts.Alpha)}
+	out := &populationShard{sk: sketch.New(opts.Alpha)}
 	e, err := newEnvWithConfig(cfg, dist.ShardSeed(opts.Seed, shardIdx))
 	if err != nil {
-		return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
+		return nil, fmt.Errorf("shard %d: %w", shardIdx, err)
 	}
 	defer e.close()
 	c := e.cloud
 	c.SetEngineMode(opts.Engine)
 	eng := e.eng
 
-	// Tenant arrival/execution randomness reuses the tenants experiment's
-	// stream names, so a cost shard replays byte-identical arrivals to a
-	// tenants shard at the same seed.
+	// Tenant arrival/execution randomness derives from the shard seed under
+	// per-tenant stream names, independent of the cloud's own streams.
 	streams := dist.NewStreams(dist.ShardSeed(opts.Seed, shardIdx))
 	noopDone := func(*cloud.Response, error) {}
 	horizon := opts.Duration
@@ -517,21 +547,24 @@ func runCostShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx i
 			Method:       cloud.DeployZIP,
 			MaxInstances: opts.MaxConcurrency,
 		}); err != nil {
-			return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
+			return nil, fmt.Errorf("shard %d: %w", shardIdx, err)
 		}
 		execDist, err := azuretrace.Synthesize(spec.rec)
 		if err != nil {
-			return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
+			return nil, fmt.Errorf("shard %d: %w", shardIdx, err)
 		}
 		tr := &tenantRun{name: name, sk: sketch.New(opts.Alpha)}
 		if err := c.SetFunctionRecorder(name, tr.sk); err != nil {
-			return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
+			return nil, fmt.Errorf("shard %d: %w", shardIdx, err)
 		}
 		runs = append(runs, tr)
 
 		arrRNG := streams.Stream("tenants/arr/" + name)
 		execRNG := streams.Stream("tenants/exec/" + name)
 		mean := float64(spec.meanIAT)
+		// Open-loop Poisson arrivals as a self-rescheduling callback chain:
+		// the next arrival is independent of completions, and generation
+		// stops once it would cross the window.
 		var arrive func()
 		arrive = func() {
 			tr.issued++
@@ -556,7 +589,7 @@ func runCostShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx i
 			PayloadBytes: 4 << 10,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
+			return nil, fmt.Errorf("shard %d: %w", shardIdx, err)
 		}
 		for _, node := range dag.Nodes {
 			if err := c.Deploy(cloud.FunctionSpec{
@@ -565,12 +598,12 @@ func runCostShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx i
 				Method:   cloud.DeployZIP,
 				ExecTime: opts.AppExec,
 			}); err != nil {
-				return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
+				return nil, fmt.Errorf("shard %d: %w", shardIdx, err)
 			}
 		}
 		ex, err = workflow.New(workflow.Config{Cloud: c, DAG: dag})
 		if err != nil {
-			return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
+			return nil, fmt.Errorf("shard %d: %w", shardIdx, err)
 		}
 		out.appSk = sketch.New(opts.Alpha)
 		n := shardInvocations(opts.Apps, opts.Shards, shardIdx)
@@ -605,10 +638,10 @@ func runCostShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx i
 	for _, tr := range runs {
 		tm, ok := c.FunctionMetrics(tr.name)
 		if !ok {
-			return nil, fmt.Errorf("cost shard %d: %s vanished", shardIdx, tr.name)
+			return nil, fmt.Errorf("shard %d: %s vanished", shardIdx, tr.name)
 		}
 		if tm.Invocations != tr.issued {
-			return nil, fmt.Errorf("cost shard %d: %s conservation violated: issued=%d admitted=%d",
+			return nil, fmt.Errorf("shard %d: %s conservation violated: issued=%d admitted=%d",
 				shardIdx, tr.name, tr.issued, tm.Invocations)
 		}
 		out.inv += tm.Invocations
@@ -618,20 +651,32 @@ func runCostShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx i
 		out.instSec += tm.InstanceSeconds
 		if tr.sk.Count() > 0 {
 			if err := out.sk.Merge(tr.sk); err != nil {
-				return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
+				return nil, fmt.Errorf("shard %d: %w", shardIdx, err)
 			}
 		}
 		u, ok := c.FunctionUsage(tr.name)
 		if !ok {
-			return nil, fmt.Errorf("cost shard %d: %s has no usage", shardIdx, tr.name)
+			return nil, fmt.Errorf("shard %d: %s has no usage", shardIdx, tr.name)
 		}
 		tenantSum.Add(u)
+		if perTenant {
+			stat := TenantStat{
+				Name:        tr.name,
+				Invocations: tm.Invocations,
+				ColdServed:  tm.ColdServed,
+				Errors:      tm.Errors,
+			}
+			if tr.sk.Count() > 0 {
+				stat.P99 = tr.sk.Quantile(0.99)
+			}
+			out.tenants = append(out.tenants, stat)
+		}
 	}
 	if dag != nil {
 		for _, node := range dag.Nodes {
 			u, ok := c.FunctionUsage(node.Name)
 			if !ok {
-				return nil, fmt.Errorf("cost shard %d: app node %s has no usage", shardIdx, node.Name)
+				return nil, fmt.Errorf("shard %d: app node %s has no usage", shardIdx, node.Name)
 			}
 			out.appUsage.Add(u)
 		}
@@ -642,7 +687,7 @@ func runCostShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx i
 	// sum to the fleet meter (identical adds land in both), up to float
 	// association noise.
 	if err := usageConserved(tenantSum, out.usage); err != nil {
-		return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
+		return nil, fmt.Errorf("shard %d: %w", shardIdx, err)
 	}
 	m := c.Metrics()
 	out.expirations = m.Expirations
@@ -654,7 +699,7 @@ func runCostShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx i
 // usageConserved checks that per-tenant usage sums to the fleet total.
 func usageConserved(sum, fleet econ.Usage) error {
 	if sum.Requests != fleet.Requests {
-		return fmt.Errorf("cost: request conservation violated: tenants=%d fleet=%d", sum.Requests, fleet.Requests)
+		return fmt.Errorf("request conservation violated: tenants=%d fleet=%d", sum.Requests, fleet.Requests)
 	}
 	close := func(a, b float64) bool {
 		diff := math.Abs(a - b)
@@ -663,7 +708,7 @@ func usageConserved(sum, fleet econ.Usage) error {
 	if !close(sum.BusyGBms, fleet.BusyGBms) ||
 		!close(sum.IdleGBms, fleet.IdleGBms) ||
 		!close(sum.SuspendedGBms, fleet.SuspendedGBms) {
-		return fmt.Errorf("cost: usage conservation violated: tenants=%+v fleet=%+v", sum, fleet)
+		return fmt.Errorf("usage conservation violated: tenants=%+v fleet=%+v", sum, fleet)
 	}
 	return nil
 }
@@ -705,13 +750,6 @@ func WriteCostReport(w io.Writer, res *CostResult) {
 			}
 		}
 	}
-}
-
-// WriteCostJSON writes the sweep as indented JSON.
-func WriteCostJSON(w io.Writer, res *CostResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }
 
 // WriteCostCSV writes one row per (policy, plan) cell.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,10 +12,10 @@ import (
 	"github.com/stellar-repro/stellar/internal/workflow"
 )
 
-// engineForms are the two execution forms the differential suite compares.
-// Auto is deliberately absent: it IS the callback form (explicitly named),
-// and the golden fixtures already pin auto against the seed engine.
-var engineForms = []cloud.EngineMode{cloud.EngineProc, cloud.EngineCallback}
+// engineForms are the two execution forms the differential suite compares:
+// proc forces goroutines everywhere, auto takes the callback form wherever a
+// request qualifies for it.
+var engineForms = []cloud.EngineMode{cloud.EngineProc, cloud.EngineAuto}
 
 // formOpts builds figure options for one (engine, workers) cell.
 func formOpts(engine cloud.EngineMode, workers int) Options {
@@ -163,7 +164,7 @@ func TestEngineFormsEquivalent(t *testing.T) {
 					t.Fatalf("faults engine=%v workers=%d: %v", engine, workers, err)
 				}
 				var b strings.Builder
-				if err := WriteFaultsJSON(&b, res); err != nil {
+				if err := json.NewEncoder(&b).Encode(res); err != nil {
 					t.Fatal(err)
 				}
 				got[i] = b.String()

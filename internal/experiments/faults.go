@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -340,13 +339,6 @@ func WriteFaultsReport(w io.Writer, res *FaultsResult) {
 			cell.Outcome.Retries, cell.Drops, cell.SuccessRate*100, cell.GoodputRPS,
 			cell.Latency.Median.Round(time.Millisecond), cell.Latency.P99.Round(time.Millisecond))
 	}
-}
-
-// WriteFaultsJSON writes the sweep as indented JSON.
-func WriteFaultsJSON(w io.Writer, res *FaultsResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }
 
 // WriteFaultsCSV writes one row per grid cell.

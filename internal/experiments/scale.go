@@ -74,6 +74,11 @@ func (o ScaleOptions) validate() error {
 	if uint64(o.Shards) > o.Invocations {
 		return fmt.Errorf("scale: %d shards for %d invocations", o.Shards, o.Invocations)
 	}
+	if o.Alpha != 0 {
+		if err := sketch.ValidateAlpha(o.Alpha); err != nil {
+			return fmt.Errorf("scale: %w", err)
+		}
+	}
 	return nil
 }
 

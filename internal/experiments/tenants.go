@@ -1,20 +1,15 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"time"
 
 	"github.com/stellar-repro/stellar/internal/azuretrace"
 	"github.com/stellar-repro/stellar/internal/cloud"
 	"github.com/stellar-repro/stellar/internal/dist"
-	"github.com/stellar-repro/stellar/internal/providers"
-	"github.com/stellar-repro/stellar/internal/runner"
 	"github.com/stellar-repro/stellar/internal/stats"
-	"github.com/stellar-repro/stellar/internal/stats/sketch"
 )
 
 // TenantsOptions configures a provider-scale multi-tenant trace replay: a
@@ -24,6 +19,9 @@ import (
 // keep-alive knob walks (Shahrad et al., ATC'20; §VI-D of the paper for the
 // cold-start mechanics).
 //
+// The sweep is the cost sweep's keep-alive preset: RunTenants runs the same
+// population replay as RunCost with one keepalive-<d> policy per swept
+// keep-alive, so defaults, validation and the replay itself are shared.
 // Tenants are deterministically partitioned across Shards by index; each
 // (policy, shard) cell is one isolated simulation whose seed depends only on
 // (Seed, shard index), so every policy replays the same arrivals and
@@ -42,7 +40,8 @@ type TenantsOptions struct {
 	Workers int
 	// Seed roots the population synthesis and every shard's randomness.
 	Seed int64
-	// KeepAlives is the swept fixed keep-alive axis (default 1m,5m,10m,20m).
+	// KeepAlives is the swept fixed keep-alive axis (default 1m,5m,10m,20m);
+	// each must be positive and distinct.
 	KeepAlives []time.Duration
 	// SlackTick routes keep-alive expiries onto the engine's timer wheel at
 	// this tick (0 = exact heap timers).
@@ -66,53 +65,33 @@ type TenantsOptions struct {
 	Engine cloud.EngineMode
 }
 
-func (o TenantsOptions) normalized() TenantsOptions {
-	if o.Shards <= 0 {
-		o.Shards = 8
+// costOptions maps the sweep onto the population replay it is a preset of:
+// each keep-alive becomes a keepalive-<d> policy, and every other knob
+// carries over, defaults included.
+func (o TenantsOptions) costOptions() CostOptions {
+	kas := o.KeepAlives
+	if len(kas) == 0 {
+		kas = []time.Duration{time.Minute, 5 * time.Minute, 10 * time.Minute, 20 * time.Minute}
 	}
-	if len(o.KeepAlives) == 0 {
-		o.KeepAlives = []time.Duration{time.Minute, 5 * time.Minute, 10 * time.Minute, 20 * time.Minute}
+	policies := make([]CostPolicy, len(kas))
+	for i, ka := range kas {
+		policies[i] = CostPolicy{Name: "keepalive-" + ka.String(), KeepAlive: ka}
 	}
-	if o.MeanIATLo <= 0 {
-		o.MeanIATLo = time.Second
+	return CostOptions{
+		Provider:       o.Provider,
+		Tenants:        o.Tenants,
+		Duration:       o.Duration,
+		Shards:         o.Shards,
+		Workers:        o.Workers,
+		Seed:           o.Seed,
+		Policies:       policies,
+		MeanIATLo:      o.MeanIATLo,
+		MeanIATHi:      o.MeanIATHi,
+		Alpha:          o.Alpha,
+		MaxConcurrency: o.MaxConcurrency,
+		SlackTick:      o.SlackTick,
+		Engine:         o.Engine,
 	}
-	if o.MeanIATHi <= 0 {
-		o.MeanIATHi = time.Minute
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.02
-	}
-	if o.MaxConcurrency == 0 {
-		o.MaxConcurrency = 16
-	}
-	if o.MaxConcurrency < 0 {
-		o.MaxConcurrency = 0
-	}
-	return o
-}
-
-func (o TenantsOptions) validate() error {
-	if o.Provider == "" {
-		return fmt.Errorf("tenants: provider is required")
-	}
-	if o.Tenants <= 0 {
-		return fmt.Errorf("tenants: need at least one tenant")
-	}
-	if o.Duration <= 0 {
-		return fmt.Errorf("tenants: duration must be positive")
-	}
-	for _, ka := range o.KeepAlives {
-		if ka <= 0 {
-			return fmt.Errorf("tenants: keep-alive %v must be positive", ka)
-		}
-	}
-	if o.MeanIATLo > o.MeanIATHi {
-		return fmt.Errorf("tenants: mean IAT bounds inverted (%v > %v)", o.MeanIATLo, o.MeanIATHi)
-	}
-	if o.SlackTick < 0 {
-		return fmt.Errorf("tenants: negative slack tick")
-	}
-	return nil
 }
 
 // tenantSpec is one synthesized tenant: its execution-time record and its
@@ -124,7 +103,7 @@ type tenantSpec struct {
 }
 
 // synthesizeTenants builds the population from the root seed only.
-func synthesizeTenants(opts TenantsOptions) []tenantSpec {
+func synthesizeTenants(opts CostOptions) []tenantSpec {
 	rng := dist.NewStreams(opts.Seed).Stream("tenants/population")
 	records := azuretrace.Generate(opts.Tenants, rng)
 	pop := make([]tenantSpec, len(records))
@@ -180,220 +159,45 @@ type TenantsResult struct {
 	Points    []TenantsPolicyPoint `json:"points"`
 }
 
-// tenantsShard is one (policy, shard) simulation's raw outcome.
-type tenantsShard struct {
-	inv, cold, warm, errs uint64
-	expirations           uint64
-	instSec               float64
-	sk                    *sketch.Sketch
-	virtual               time.Duration
-	tenants               []TenantStat
-}
-
-// RunTenants executes the keep-alive sweep over the synthesized population.
+// RunTenants executes the keep-alive sweep over the synthesized
+// population: the cost sweep's keep-alive preset, projected onto the
+// (cold-start rate, instance-seconds) frontier.
 func RunTenants(opts TenantsOptions) (*TenantsResult, error) {
-	opts = opts.normalized()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	pop := synthesizeTenants(opts)
-
-	units := len(opts.KeepAlives) * opts.Shards
-	shards, err := runner.Map(runner.Pool{Workers: opts.Workers, Seed: opts.Seed}, units,
-		func(sh runner.Shard) (*tenantsShard, error) {
-			ka := opts.KeepAlives[sh.Index/opts.Shards]
-			shardIdx := sh.Index % opts.Shards
-			return runTenantsShard(opts, pop, ka, shardIdx)
-		})
+	copts := opts.costOptions()
+	res, err := runPopulation(copts, opts.Top)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tenants: %w", err)
 	}
-
-	res := &TenantsResult{
-		Provider:  opts.Provider,
-		Tenants:   opts.Tenants,
-		Duration:  opts.Duration,
-		Shards:    opts.Shards,
-		Seed:      opts.Seed,
+	out := &TenantsResult{
+		Provider:  res.Provider,
+		Tenants:   res.Tenants,
+		Duration:  res.Duration,
+		Shards:    res.Shards,
+		Seed:      res.Seed,
 		SlackTick: opts.SlackTick,
+		Points:    make([]TenantsPolicyPoint, len(res.Points)),
 	}
-	for ki, ka := range opts.KeepAlives {
-		point := TenantsPolicyPoint{KeepAlive: ka}
-		merged := sketch.New(opts.Alpha)
-		var tenants []TenantStat
-		for _, sh := range shards[ki*opts.Shards : (ki+1)*opts.Shards] {
-			point.Invocations += sh.inv
-			point.ColdServed += sh.cold
-			point.WarmServed += sh.warm
-			point.Errors += sh.errs
-			point.Expirations += sh.expirations
-			point.InstanceSeconds += sh.instSec
-			if sh.sk.Count() > 0 {
-				if err := merged.Merge(sh.sk); err != nil {
-					return nil, fmt.Errorf("tenants: merging shard sketch: %w", err)
-				}
-			}
-			if sh.virtual > point.VirtualTime {
-				point.VirtualTime = sh.virtual
-			}
-			tenants = append(tenants, sh.tenants...)
-		}
-		if served := point.ColdServed + point.WarmServed; served > 0 {
-			point.ColdRate = float64(point.ColdServed) / float64(served)
-		}
-		if merged.Count() > 0 {
-			point.Latency = merged.Summarize()
-		}
-		if opts.Top > 0 {
-			// Tenants live in exactly one shard, so the concatenation holds
-			// each exactly once; sort by p99 descending, name-tie-broken.
-			sort.Slice(tenants, func(i, j int) bool {
-				if tenants[i].P99 != tenants[j].P99 {
-					return tenants[i].P99 > tenants[j].P99
-				}
-				return tenants[i].Name < tenants[j].Name
-			})
-			if len(tenants) > opts.Top {
-				tenants = tenants[:opts.Top]
-			}
-			point.TopTenants = tenants
-		}
-		res.Points = append(res.Points, point)
-	}
-	markPareto(res.Points)
-	return res, nil
-}
-
-// markPareto flags points not dominated on minimizing both coordinates.
-func markPareto(points []TenantsPolicyPoint) {
-	for i := range points {
-		dominated := false
-		for j := range points {
-			if j == i {
-				continue
-			}
-			if points[j].ColdRate <= points[i].ColdRate &&
-				points[j].InstanceSeconds <= points[i].InstanceSeconds &&
-				(points[j].ColdRate < points[i].ColdRate ||
-					points[j].InstanceSeconds < points[i].InstanceSeconds) {
-				dominated = true
-				break
-			}
-		}
-		points[i].Pareto = !dominated
-	}
-}
-
-// runTenantsShard replays this shard's slice of the population under one
-// keep-alive policy. The shard seed ignores the policy index on purpose:
-// every policy sees identical arrivals and execution draws, isolating the
-// keep-alive knob as the only difference between frontier points.
-func runTenantsShard(opts TenantsOptions, pop []tenantSpec, ka time.Duration, shardIdx int) (*tenantsShard, error) {
-	cfg, err := providers.Get(opts.Provider)
-	if err != nil {
-		return nil, err
-	}
-	cfg.KeepAlive = cloud.KeepAlivePolicy{Fixed: ka}
-	cfg.KeepAliveSlack = opts.SlackTick
-
-	out := &tenantsShard{sk: sketch.New(opts.Alpha)}
-	e, err := newEnvWithConfig(cfg, dist.ShardSeed(opts.Seed, shardIdx))
-	if err != nil {
-		return nil, fmt.Errorf("tenants shard %d: %w", shardIdx, err)
-	}
-	defer e.close()
-	c := e.cloud
-	c.SetEngineMode(opts.Engine)
-	eng := e.eng
-
-	// Tenant arrival/execution randomness derives from the shard seed under
-	// per-tenant stream names, independent of the cloud's own streams.
-	streams := dist.NewStreams(dist.ShardSeed(opts.Seed, shardIdx))
-	noopDone := func(*cloud.Response, error) {}
-	horizon := opts.Duration
-
-	type tenantRun struct {
-		name   string
-		sk     *sketch.Sketch
-		issued uint64
-	}
-	var runs []*tenantRun
-	for t := shardIdx; t < len(pop); t += opts.Shards {
-		spec := pop[t]
-		name := spec.rec.Function
-		if err := c.Deploy(cloud.FunctionSpec{
-			Name:         name,
-			Runtime:      cloud.RuntimePython,
-			Method:       cloud.DeployZIP,
-			MaxInstances: opts.MaxConcurrency,
-		}); err != nil {
-			return nil, fmt.Errorf("tenants shard %d: %w", shardIdx, err)
-		}
-		execDist, err := azuretrace.Synthesize(spec.rec)
-		if err != nil {
-			return nil, fmt.Errorf("tenants shard %d: %w", shardIdx, err)
-		}
-		tr := &tenantRun{name: name, sk: sketch.New(opts.Alpha)}
-		if err := c.SetFunctionRecorder(name, tr.sk); err != nil {
-			return nil, fmt.Errorf("tenants shard %d: %w", shardIdx, err)
-		}
-		runs = append(runs, tr)
-
-		arrRNG := streams.Stream("tenants/arr/" + name)
-		execRNG := streams.Stream("tenants/exec/" + name)
-		mean := float64(spec.meanIAT)
-		// Open-loop Poisson arrivals as a self-rescheduling callback chain:
-		// the next arrival is independent of completions, and generation
-		// stops once it would cross the window.
-		var arrive func()
-		arrive = func() {
-			tr.issued++
-			c.InvokeAsync(&cloud.Request{Fn: name, ExecTime: execDist.Sample(execRNG)}, noopDone)
-			if next := time.Duration(arrRNG.ExpFloat64() * mean); eng.Now()+next < horizon {
-				eng.CallAfter(next, arrive)
-			}
-		}
-		if first := time.Duration(arrRNG.ExpFloat64() * mean); first < horizon {
-			eng.CallAfter(first, arrive)
+	for i, p := range res.Points {
+		out.Points[i] = TenantsPolicyPoint{
+			KeepAlive:       copts.Policies[i].KeepAlive,
+			Invocations:     p.Invocations,
+			ColdServed:      p.ColdServed,
+			WarmServed:      p.WarmServed,
+			Errors:          p.Errors,
+			Expirations:     p.Expirations,
+			ColdRate:        p.ColdRate,
+			InstanceSeconds: p.InstanceSeconds,
+			Latency:         p.Latency,
+			VirtualTime:     p.VirtualTime,
+			TopTenants:      p.worst,
 		}
 	}
-
-	// Drain to quiescence: in-flight invocations complete and idle
-	// instances expire, closing each tenant's instance-seconds integral.
-	eng.Run(0)
-	out.virtual = eng.Now()
-
-	for _, tr := range runs {
-		tm, ok := c.FunctionMetrics(tr.name)
-		if !ok {
-			return nil, fmt.Errorf("tenants shard %d: %s vanished", shardIdx, tr.name)
-		}
-		if tm.Invocations != tr.issued {
-			return nil, fmt.Errorf("tenants shard %d: %s conservation violated: issued=%d admitted=%d",
-				shardIdx, tr.name, tr.issued, tm.Invocations)
-		}
-		out.inv += tm.Invocations
-		out.cold += tm.ColdServed
-		out.warm += tm.WarmServed
-		out.errs += tm.Errors
-		out.instSec += tm.InstanceSeconds
-		if tr.sk.Count() > 0 {
-			if err := out.sk.Merge(tr.sk); err != nil {
-				return nil, fmt.Errorf("tenants shard %d: %w", shardIdx, err)
-			}
-		}
-		stat := TenantStat{
-			Name:        tr.name,
-			Invocations: tm.Invocations,
-			ColdServed:  tm.ColdServed,
-			Errors:      tm.Errors,
-		}
-		if tr.sk.Count() > 0 {
-			stat.P99 = tr.sk.Quantile(0.99)
-		}
-		out.tenants = append(out.tenants, stat)
+	front := paretoFront(len(out.Points), func(i int) (float64, float64) {
+		return out.Points[i].ColdRate, out.Points[i].InstanceSeconds
+	})
+	for i, on := range front {
+		out.Points[i].Pareto = on
 	}
-	out.expirations = c.Metrics().Expirations
 	return out, nil
 }
 
@@ -424,13 +228,6 @@ func WriteTenantsReport(w io.Writer, res *TenantsResult) {
 				t.Name, t.Invocations, t.ColdServed, t.Errors, t.P99.Round(time.Millisecond))
 		}
 	}
-}
-
-// WriteTenantsJSON writes the sweep as indented JSON.
-func WriteTenantsJSON(w io.Writer, res *TenantsResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }
 
 // WriteTenantsCSV writes one row per frontier point.

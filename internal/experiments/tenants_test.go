@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -37,13 +39,14 @@ func TestTenantsRejectsEmptyPopulation(t *testing.T) {
 }
 
 // TestTenantsSingleTenantMatchesDirectShard: the full sweep driver with one
-// tenant and one shard reduces exactly to one direct shard replay — the
-// merge layer adds nothing.
+// tenant and one shard reduces exactly to one direct call of the shared
+// population shard — the merge layer adds nothing.
 func TestTenantsSingleTenantMatchesDirectShard(t *testing.T) {
-	opts := smallTenantsOpts().normalized()
+	opts := smallTenantsOpts()
 	opts.Tenants = 1
 	opts.Shards = 1
 	opts.KeepAlives = []time.Duration{5 * time.Minute}
+	opts.Top = 1
 	res, err := RunTenants(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -51,16 +54,18 @@ func TestTenantsSingleTenantMatchesDirectShard(t *testing.T) {
 	if len(res.Points) != 1 {
 		t.Fatalf("points = %d, want 1", len(res.Points))
 	}
-	pop := synthesizeTenants(opts)
-	direct, err := runTenantsShard(opts, pop, 5*time.Minute, 0)
+	copts := opts.costOptions().normalized()
+	pop := synthesizeTenants(copts)
+	direct, err := runPopulationShard(copts, pop, copts.Policies[0], 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := res.Points[0]
 	if p.Invocations != direct.inv || p.ColdServed != direct.cold ||
-		p.WarmServed != direct.warm || p.Errors != direct.errs {
-		t.Fatalf("sweep %+v != direct shard inv=%d cold=%d warm=%d errs=%d",
-			p, direct.inv, direct.cold, direct.warm, direct.errs)
+		p.WarmServed != direct.warm || p.Errors != direct.errs ||
+		p.Expirations != direct.expirations {
+		t.Fatalf("sweep %+v != direct shard inv=%d cold=%d warm=%d errs=%d expired=%d",
+			p, direct.inv, direct.cold, direct.warm, direct.errs, direct.expirations)
 	}
 	if p.InstanceSeconds != direct.instSec {
 		t.Fatalf("instance-seconds %v != %v", p.InstanceSeconds, direct.instSec)
@@ -70,6 +75,66 @@ func TestTenantsSingleTenantMatchesDirectShard(t *testing.T) {
 	}
 	if direct.sk.Count() > 0 && p.Latency.P99 != direct.sk.Summarize().P99 {
 		t.Fatalf("latency p99 %v != %v", p.Latency.P99, direct.sk.Summarize().P99)
+	}
+	if len(p.TopTenants) != 1 || len(direct.tenants) != 1 || p.TopTenants[0] != direct.tenants[0] {
+		t.Fatalf("top tenants %+v != direct %+v", p.TopTenants, direct.tenants)
+	}
+}
+
+// TestTenantsMatchesCostKeepAlive: the tenants sweep is the cost sweep
+// restricted to keepalive-<d> policies, so both report the same counters,
+// instance-seconds, latency summary and virtual time for every keep-alive,
+// with exact and wheel-routed expiries and at any worker count.
+func TestTenantsMatchesCostKeepAlive(t *testing.T) {
+	kas := []time.Duration{time.Minute, 5 * time.Minute, 20 * time.Minute}
+	for _, slack := range []time.Duration{0, 500 * time.Millisecond} {
+		for _, workers := range []int{1, 8} {
+			opts := smallTenantsOpts()
+			opts.Tenants = 120
+			opts.KeepAlives = kas
+			opts.SlackTick = slack
+			opts.Workers = workers
+			tenants, err := RunTenants(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var policies []CostPolicy
+			for _, ka := range kas {
+				policies = append(policies, CostPolicy{Name: "keepalive-" + ka.String(), KeepAlive: ka})
+			}
+			cost, err := RunCost(CostOptions{
+				Provider: opts.Provider, Tenants: opts.Tenants, Duration: opts.Duration,
+				Shards: opts.Shards, Workers: workers, Seed: opts.Seed,
+				Policies: policies, SlackTick: slack,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tp := range tenants.Points {
+				cp := cost.Points[i]
+				if tp.KeepAlive != kas[i] {
+					t.Fatalf("point %d keep-alive %v, want %v", i, tp.KeepAlive, kas[i])
+				}
+				if tp.Invocations != cp.Invocations || tp.ColdServed != cp.ColdServed ||
+					tp.WarmServed != cp.WarmServed || tp.Errors != cp.Errors ||
+					tp.Expirations != cp.Expirations || tp.ColdRate != cp.ColdRate {
+					t.Errorf("slack=%v workers=%d %s: counters differ: tenants %+v, cost %+v",
+						slack, workers, cp.Policy, tp, cp)
+				}
+				if tp.InstanceSeconds != cp.InstanceSeconds {
+					t.Errorf("slack=%v workers=%d %s: instance-seconds %v != %v",
+						slack, workers, cp.Policy, tp.InstanceSeconds, cp.InstanceSeconds)
+				}
+				if tp.Latency != cp.Latency {
+					t.Errorf("slack=%v workers=%d %s: latency %+v != %+v",
+						slack, workers, cp.Policy, tp.Latency, cp.Latency)
+				}
+				if tp.VirtualTime != cp.VirtualTime {
+					t.Errorf("slack=%v workers=%d %s: virtual time %v != %v",
+						slack, workers, cp.Policy, tp.VirtualTime, cp.VirtualTime)
+				}
+			}
+		}
 	}
 }
 
@@ -85,7 +150,7 @@ func TestTenantsWorkerCountInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteTenantsJSON(&buf, res); err != nil {
+		if err := json.NewEncoder(&buf).Encode(res); err != nil {
 			t.Fatal(err)
 		}
 		WriteTenantsReport(&buf, res)
@@ -130,22 +195,51 @@ func TestTenantsSlackTickKeepsFrontierShape(t *testing.T) {
 	}
 }
 
-// TestTenantsParetoMarking: the frontier marking is exactly the
-// non-dominated set.
-func TestTenantsParetoMarking(t *testing.T) {
-	points := []TenantsPolicyPoint{
-		{ColdRate: 0.10, InstanceSeconds: 100}, // pareto
-		{ColdRate: 0.05, InstanceSeconds: 200}, // pareto
-		{ColdRate: 0.05, InstanceSeconds: 300}, // dominated by [1]
-		{ColdRate: 0.20, InstanceSeconds: 100}, // dominated by [0]
-		{ColdRate: 0.02, InstanceSeconds: 400}, // pareto
-	}
-	markPareto(points)
-	want := []bool{true, true, false, false, true}
-	for i, p := range points {
-		if p.Pareto != want[i] {
-			t.Errorf("point %d pareto = %v, want %v", i, p.Pareto, want[i])
+// TestParetoFront: the one Pareto helper marks exactly the non-dominated
+// set on both frontiers it serves, (cold rate, instance-seconds) and
+// (cost per million requests, p99). Exact ties and duplicate points do not
+// dominate each other, so they stay on the front together.
+func TestParetoFront(t *testing.T) {
+	type pt struct{ x, y float64 }
+	for _, tc := range []struct {
+		name   string
+		points []pt
+		want   []bool
+	}{
+		{"cold-rate/instance-seconds", []pt{
+			{0.10, 100}, // front
+			{0.05, 200}, // front
+			{0.05, 300}, // dominated by [1]: equal x, worse y
+			{0.20, 100}, // dominated by [0]: equal y, worse x
+			{0.02, 400}, // front
+		}, []bool{true, true, false, false, true}},
+		{"duplicates", []pt{{1, 1}, {1, 1}, {2, 2}, {2, 2}}, []bool{true, true, false, false}},
+		{"exact tie on one axis", []pt{{3, 1}, {1, 3}, {2, 2}, {3, 3}}, []bool{true, true, true, false}},
+		{"single", []pt{{5, 5}}, []bool{true}},
+		{"empty", nil, []bool{}},
+	} {
+		got := paretoFront(len(tc.points), func(i int) (float64, float64) {
+			return tc.points[i].x, tc.points[i].y
+		})
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: front = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+
+	// The cost frontier's coordinates are (dollars, duration).
+	cells := []struct {
+		usd float64
+		p99 time.Duration
+	}{
+		{1.0, 300 * time.Millisecond}, // front
+		{2.0, 100 * time.Millisecond}, // front
+		{2.0, 100 * time.Millisecond}, // duplicate of [1]: front
+		{1.0, 400 * time.Millisecond}, // dominated by [0]
+		{3.0, 100 * time.Millisecond}, // dominated by [1]
+	}
+	got := paretoFront(len(cells), func(i int) (float64, time.Duration) { return cells[i].usd, cells[i].p99 })
+	if want := []bool{true, true, true, false, false}; !slices.Equal(got, want) {
+		t.Errorf("cost/p99: front = %v, want %v", got, want)
 	}
 }
 

@@ -81,16 +81,27 @@ type Sketch struct {
 	min, max time.Duration
 }
 
+// ValidateAlpha rejects a relative-accuracy target outside [0.0005, 0.1],
+// NaN included. It does not resolve 0: callers that treat 0 as "default"
+// substitute DefaultAlpha (or their own default) first.
+func ValidateAlpha(alpha float64) error {
+	if !(alpha >= minAlpha && alpha <= maxAlpha) {
+		return fmt.Errorf("sketch: alpha %v outside [%v, %v]", alpha, minAlpha, maxAlpha)
+	}
+	return nil
+}
+
 // New returns an empty sketch with the given relative-accuracy target
 // (0 means DefaultAlpha). It panics on alpha outside [0.0005, 0.1],
 // matching the dist constructors' fail-fast convention for static
-// misconfiguration.
+// misconfiguration; options that reach New validate with ValidateAlpha
+// first so user input never panics.
 func New(alpha float64) *Sketch {
 	if alpha == 0 {
 		alpha = DefaultAlpha
 	}
-	if alpha < minAlpha || alpha > maxAlpha {
-		panic(fmt.Sprintf("sketch: alpha %v outside [%v, %v]", alpha, minAlpha, maxAlpha))
+	if err := ValidateAlpha(alpha); err != nil {
+		panic(err.Error())
 	}
 	gamma := (1 + alpha) / (1 - alpha)
 	invLnGamma := 1 / math.Log(gamma)
@@ -426,8 +437,8 @@ func FromRecord(rec *Record) (*Sketch, error) {
 	if len(rec.Keys) != len(rec.Counts) {
 		return nil, fmt.Errorf("sketch: record has %d keys but %d counts", len(rec.Keys), len(rec.Counts))
 	}
-	if rec.Alpha < minAlpha || rec.Alpha > maxAlpha {
-		return nil, fmt.Errorf("sketch: record alpha %v outside [%v, %v]", rec.Alpha, minAlpha, maxAlpha)
+	if err := ValidateAlpha(rec.Alpha); err != nil {
+		return nil, fmt.Errorf("sketch: record: %w", err)
 	}
 	s := New(rec.Alpha)
 	s.total = rec.Count

@@ -41,7 +41,7 @@ func TestEmptySketch(t *testing.T) {
 }
 
 func TestNewPanicsOnBadAlpha(t *testing.T) {
-	for _, alpha := range []float64{-0.01, 0.2} {
+	for _, alpha := range []float64{-0.01, 0.2, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -50,6 +50,19 @@ func TestNewPanicsOnBadAlpha(t *testing.T) {
 			}()
 			New(alpha)
 		}()
+	}
+}
+
+func TestValidateAlpha(t *testing.T) {
+	for _, alpha := range []float64{minAlpha, DefaultAlpha, 0.02, maxAlpha} {
+		if err := ValidateAlpha(alpha); err != nil {
+			t.Errorf("ValidateAlpha(%v) = %v", alpha, err)
+		}
+	}
+	for _, alpha := range []float64{0, -0.5, 5, minAlpha / 2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := ValidateAlpha(alpha); err == nil {
+			t.Errorf("ValidateAlpha(%v) accepted", alpha)
+		}
 	}
 }
 
@@ -260,6 +273,11 @@ func TestFromRecordRejectsCorrupt(t *testing.T) {
 		"bad alpha": func() *Record {
 			r := good()
 			r.Alpha = 0.5
+			return r
+		}(),
+		"nan alpha": func() *Record {
+			r := good()
+			r.Alpha = math.NaN()
 			return r
 		}(),
 		"count mismatch": func() *Record {
