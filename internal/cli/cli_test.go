@@ -541,6 +541,25 @@ func TestScaleCommand(t *testing.T) {
 	}
 }
 
+// TestSeriesCommandsRejectNegativeOptions: a negative arrival-shape flag
+// is a typo, not a request for the default — scale and trace must exit 1
+// naming the option instead of silently running another series.
+func TestSeriesCommandsRejectNegativeOptions(t *testing.T) {
+	for _, cmd := range []string{"scale", "trace"} {
+		for _, tc := range []struct{ flag, value, want string }{
+			{"-exec", "-1s", "negative exec time"},
+			{"-iat", "-5ms", "negative inter-arrival time"},
+			{"-burst", "-5", "negative burst"},
+			{"-shards", "-3", "negative shard count"},
+		} {
+			code, _, errOut := run(t, cmd, "-n", "100", tc.flag, tc.value)
+			if code != 1 || !strings.Contains(errOut, cmd+": "+tc.want) {
+				t.Errorf("%s %s %s: code=%d err=%q", cmd, tc.flag, tc.value, code, errOut)
+			}
+		}
+	}
+}
+
 // TestScaleCommandExactRejectsSave: exact mode has no sketch to persist.
 func TestScaleCommandExactRejectsSave(t *testing.T) {
 	code, _, errOut := run(t, "scale",

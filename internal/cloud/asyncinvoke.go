@@ -6,21 +6,25 @@ import (
 	"time"
 
 	"github.com/stellar-repro/stellar/internal/des"
+	"github.com/stellar-repro/stellar/internal/trace"
 )
 
 // This file is the callback execution form of the invocation pipeline: a
 // warm external request runs as a straight-line chain of engine event
 // callbacks with zero goroutine context switches, while Invoke's
-// goroutine-proc form remains the general path (chains, faults, tracing,
-// retries). The two forms are event-for-event equivalent: every p.Sleep(d)
-// in Invoke maps to exactly one CallAfter(d, step) here, every Signal
-// fire/timeout to exactly one Call, and all side effects (RNG draws,
-// metrics, instance pool transitions) happen at the same virtual instant
-// and the same scheduling sequence position. That parity is what makes the
-// two forms byte-identical under any interleaving — equal-timestamp events
-// tie-break on sequence number, which decides the order concurrent
-// requests draw from the shared ingress/instance RNG streams — and it is
-// pinned by TestEngineFormsEquivalent and FuzzCallbackSchedule.
+// goroutine-proc form remains the general path (chains, faults, retries,
+// workflow-owned spans). The two forms are event-for-event equivalent: every
+// p.Sleep(d) in Invoke maps to exactly one CallAfter(d, step) here, every
+// Signal fire/timeout to exactly one Call, and all side effects (RNG draws,
+// metrics, instance pool transitions, tracer spans) happen at the same
+// virtual instant and the same scheduling sequence position. That parity
+// is what makes the two forms byte-identical under any interleaving —
+// equal-timestamp events tie-break on sequence number, which decides the
+// order concurrent requests draw from the shared ingress/instance RNG
+// streams — and it is pinned by TestEngineFormsEquivalent and
+// FuzzCallbackSchedule. Tracing rides along: each step marks the span its
+// predecessor's sleep covered, so a traced run measures the same code path
+// as an untraced one (TestInvokeAsyncTracedMatchesInvoke).
 
 // warmCall is one in-flight callback-form invocation. Records are
 // free-listed on the Cloud and every step closure is bound once at record
@@ -30,6 +34,7 @@ type warmCall struct {
 	fn   *Function
 	req  *Request
 	done func(*Response, error)
+	tr   *trace.Req // span handle; nil when untraced or not sampled
 
 	start     des.Time // arrival instant: latency epoch (Invoke's entry)
 	busyStart des.Time // serve-window start, for billing
@@ -96,7 +101,7 @@ func (c *Cloud) getWarmCall() *warmCall {
 }
 
 func (c *Cloud) putWarmCall(wc *warmCall) {
-	wc.fn, wc.req, wc.done, wc.inst = nil, nil, nil, nil
+	wc.fn, wc.req, wc.done, wc.inst, wc.tr = nil, nil, nil, nil, nil
 	wc.cold, wc.granted, wc.timedOut = false, false, false
 	wc.congQ = 0
 	wc.pr = pendingReq{wc: wc}
@@ -109,14 +114,15 @@ func (c *Cloud) putWarmCall(wc *warmCall) {
 
 // callbackEligible reports whether a request can take the callback fast
 // path. Anything that needs the general machinery — chains, storage
-// payloads, fault injection, crash retries, span tracing — falls back to
-// the proc form.
+// payloads, fault injection, crash retries, a caller-owned span — falls
+// back to the proc form. An installed tracer does not: the callback steps
+// record the same spans Invoke does.
 func (c *Cloud) callbackEligible(req *Request, fn *Function) bool {
 	return !req.Internal &&
 		fn.spec.Chain == nil &&
 		req.Cont == nil && req.Span == nil &&
 		req.storageKey == "" && req.wireDelay == 0 &&
-		c.tr == nil && c.inj == nil &&
+		c.inj == nil &&
 		c.cfg.Faults.CrashProb == 0
 }
 
@@ -145,15 +151,19 @@ func (c *Cloud) InvokeAsync(req *Request, done func(*Response, error)) {
 	c.eng.Call(wc.beginFn)
 }
 
-// begin runs at the arrival instant: admission bookkeeping and the
-// client→provider propagation leg (Invoke's entry through its first
-// Sleep).
+// begin runs at the arrival instant: admission bookkeeping, the tracer's
+// sampling draw, and the client→provider propagation leg (Invoke's entry
+// through its first Sleep).
 func (wc *warmCall) begin() {
 	c, fn := wc.c, wc.fn
+	wc.start = c.eng.Now()
 	c.metrics.Invocations++
 	fn.tm.Invocations++
+	if c.tr != nil {
+		c.reqSeq++
+		wc.tr = c.tr.Begin(c.reqSeq, wc.req.Fn, wc.start)
+	}
 	fn.inflight++
-	wc.start = c.eng.Now()
 	fn.meter.Request()
 	c.meter.Request()
 	if fn.maxConcurrent > 0 && fn.inflight > fn.maxConcurrent {
@@ -172,6 +182,7 @@ func (wc *warmCall) begin() {
 // frontend samples front-end admission and sleeps through it.
 func (wc *warmCall) frontend() {
 	c := wc.c
+	wc.tr.Mark(trace.StagePropagation, c.cfg.PropagationRTT/2, c.eng.Now())
 	wc.bd.Frontend = c.cfg.FrontendDelay.Sample(c.rngIngress)
 	c.eng.CallAfter(wc.bd.Frontend, wc.admitFn)
 }
@@ -181,6 +192,7 @@ func (wc *warmCall) frontend() {
 // reused for the slow-path probability after it.
 func (wc *warmCall) admit() {
 	c := wc.c
+	wc.tr.Mark(trace.StageFrontend, wc.bd.Frontend, c.eng.Now())
 	if q := wc.fn.inflight - 1 - c.cfg.CongestionThreshold; q > 0 {
 		exp := c.cfg.CongestionExponent
 		if exp == 0 {
@@ -201,6 +213,7 @@ func (wc *warmCall) admit() {
 // slowProb draws the slow-path lottery after the congestion delay.
 func (wc *warmCall) slowProb() {
 	c := wc.c
+	wc.tr.Mark(trace.StageCongestion, wc.bd.Congestion, c.eng.Now())
 	prob := float64(wc.congQ) * c.cfg.SlowPathProbPerInflight
 	if prob > c.cfg.SlowPathMaxProb {
 		prob = c.cfg.SlowPathMaxProb
@@ -214,6 +227,7 @@ func (wc *warmCall) slowProb() {
 }
 
 func (wc *warmCall) slowDone() {
+	wc.tr.Mark(trace.StageSlowPath, wc.bd.SlowPath, wc.c.eng.Now())
 	wc.c.metrics.SlowPaths++
 	wc.route()
 }
@@ -229,6 +243,8 @@ func (wc *warmCall) route() {
 // gateway queue timeout exactly where Invoke's WaitTimeout would.
 func (wc *warmCall) acquire() {
 	c, fn := wc.c, wc.fn
+	wc.tr.Mark(trace.StageRouting, wc.bd.Routing, c.eng.Now())
+	wc.tr.Attempt(1)
 	if inst := fn.claimIdle(); inst != nil {
 		wc.serveOn(inst)
 		return
@@ -284,6 +300,7 @@ func (wc *warmCall) queueResume() {
 	}
 	inst := wc.pr.inst
 	wc.bd.QueueWait = c.eng.Now() - wc.pr.enqueued
+	wc.tr.Mark(trace.StageQueueWait, wc.bd.QueueWait, c.eng.Now())
 	if wc.pr.handoff {
 		wc.inst = inst
 		wc.bd.QueueHandoff = c.cfg.QueueHandoffDelay.Sample(c.rngInstance)
@@ -293,7 +310,10 @@ func (wc *warmCall) queueResume() {
 	wc.serveOn(inst)
 }
 
-func (wc *warmCall) handoffDone() { wc.serveOn(wc.inst) }
+func (wc *warmCall) handoffDone() {
+	wc.tr.Mark(trace.StageQueueHandoff, wc.bd.QueueHandoff, wc.c.eng.Now())
+	wc.serveOn(wc.inst)
+}
 
 // serveOn is serve's fast form: per-invocation overhead, then execution.
 // A freshly spawned instance granted to this request still counts as a
@@ -304,10 +324,12 @@ func (wc *warmCall) serveOn(inst *Instance) {
 	wc.inst = inst
 	wc.cold = inst.served == 0
 	inst.served++
+	wc.tr.SetCold(wc.cold)
 	if wc.cold {
 		c.metrics.ColdServed++
 		wc.fn.tm.ColdServed++
 		wc.bd.ColdStart = inst.coldBreakdown
+		coldSpans(wc.tr, inst)
 	} else {
 		c.metrics.WarmServed++
 		wc.fn.tm.WarmServed++
@@ -321,6 +343,7 @@ func (wc *warmCall) serveOn(inst *Instance) {
 // straight through with no event, as Invoke's exec==0 path sleeps nothing.
 func (wc *warmCall) overheadDone() {
 	c, fn := wc.c, wc.fn
+	wc.tr.Mark(trace.StageOverhead, wc.bd.Overhead, c.eng.Now())
 	exec := wc.req.ExecTime
 	if exec == 0 {
 		exec = fn.spec.ExecTime
@@ -338,6 +361,7 @@ func (wc *warmCall) overheadDone() {
 // response path, as Invoke releases), and the response-path delay.
 func (wc *warmCall) execDone() {
 	c, fn := wc.c, wc.fn
+	wc.tr.Mark(trace.StageExec, wc.bd.Exec, c.eng.Now())
 	gbs := (c.eng.Now() - wc.busyStart).Seconds() * c.cfg.memoryGB(fn.spec.MemoryMB)
 	wc.resp.BilledGBSeconds = gbs
 	c.metrics.BilledGBSeconds += gbs
@@ -346,19 +370,23 @@ func (wc *warmCall) execDone() {
 	// response path is still in flight.
 	wc.resp.InstanceID = wc.inst.id
 	fn.release(wc.inst)
+	wc.tr.Attempt(0)
 	wc.bd.ResponsePath = c.cfg.ResponseDelay.Sample(c.rngIngress)
 	c.eng.CallAfter(wc.bd.ResponsePath, wc.respDoneFn)
 }
 
 // respDone is the provider→client propagation leg.
 func (wc *warmCall) respDone() {
+	wc.tr.Mark(trace.StageResponse, wc.bd.ResponsePath, wc.c.eng.Now())
 	wc.c.eng.CallAfter(wc.c.cfg.PropagationRTT/2, wc.finishFn)
 }
 
-// finish delivers the response at the instant it reaches the client and
-// recycles the record.
+// finish delivers the response at the instant it reaches the client,
+// closing the trace first as Invoke's deferred End does, and recycles the
+// record.
 func (wc *warmCall) finish() {
 	c, fn := wc.c, wc.fn
+	wc.tr.Mark(trace.StagePropagation, c.cfg.PropagationRTT/2, c.eng.Now())
 	resp := &wc.resp
 	resp.Fn = fn.spec.Name
 	resp.Cold = wc.cold
@@ -366,6 +394,9 @@ func (wc *warmCall) finish() {
 	resp.Attempts = 1
 	resp.Breakdown = wc.bd
 	fn.inflight--
+	if wc.tr != nil {
+		c.tr.End(wc.tr, c.eng.Now(), nil)
+	}
 	if c.latRec != nil {
 		c.latRec.Add(c.eng.Now() - wc.start)
 	}
@@ -376,12 +407,16 @@ func (wc *warmCall) finish() {
 	c.putWarmCall(wc)
 }
 
-// fail delivers an error outcome (gateway queue timeout is the only one
-// the fast path can produce) and recycles the record. As in Invoke's error
-// return, no egress legs run and no latency is recorded.
+// fail delivers an error outcome (a concurrency reject or a gateway queue
+// timeout, the only ones the fast path can produce) and recycles the
+// record. As in Invoke's error return, no egress legs run, no latency is
+// recorded, and the tracer discards the request's trace.
 func (wc *warmCall) fail(err error) {
 	wc.fn.tm.Errors++
 	wc.fn.inflight--
+	if wc.tr != nil {
+		wc.c.tr.End(wc.tr, wc.c.eng.Now(), err)
+	}
 	wc.done(nil, err)
 	wc.c.putWarmCall(wc)
 }

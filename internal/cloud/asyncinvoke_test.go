@@ -7,19 +7,34 @@ import (
 
 	"github.com/stellar-repro/stellar/internal/des"
 	"github.com/stellar-repro/stellar/internal/dist"
+	"github.com/stellar-repro/stellar/internal/trace"
 )
 
 // formTrace captures everything observable about one load run: successful
-// latencies and errors in completion order, final metrics, and the virtual
-// clock at drain. Two execution forms are equivalent iff their traces are
-// deeply equal — including the completion order, which is sensitive to the
-// engine's (timestamp, seq) tie-breaking and the RNG draw interleaving.
+// latencies and errors in completion order, final metrics, the virtual
+// clock at drain, and, when traced, every retained span trace. Two
+// execution forms are equivalent iff their traces are deeply equal —
+// including the completion order, which is sensitive to the engine's
+// (timestamp, seq) tie-breaking and the RNG draw interleaving.
 type formTrace struct {
 	lats    []time.Duration
 	errs    []string
 	metrics Metrics
 	virtual des.Time
 	instSec float64
+	spans   []trace.RequestRecord
+	dropped uint64
+}
+
+// formLoad is one load shape: n invocations in bursts of burst every iat,
+// each executing for exec.
+type formLoad struct {
+	n, burst  int
+	iat, exec time.Duration
+	// maxConcurrent caps the function's in-flight requests (0 = unlimited).
+	maxConcurrent int
+	// tracer, when set, installs a span tracer with this config.
+	tracer *trace.Config
 }
 
 type sliceRecorder struct{ lats []time.Duration }
@@ -29,19 +44,26 @@ func (r *sliceRecorder) Add(d time.Duration) { r.lats = append(r.lats, d) }
 // runForm drives n invocations in bursts against a fresh cloud, using the
 // proc form (Spawn+Invoke, exactly the scale experiment's arrival loop) or
 // the callback form (Call chain + InvokeAsync).
-func runForm(t *testing.T, cfg Config, callback bool, n, burst int, iat, exec time.Duration) formTrace {
+func runForm(t *testing.T, cfg Config, callback bool, load formLoad) formTrace {
 	t.Helper()
+	n, burst, iat := load.n, load.burst, load.iat
 	eng := des.NewEngine()
 	defer eng.Close()
 	c, err := New(eng, cfg, dist.NewStreams(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Deploy(FunctionSpec{Name: "f", Runtime: RuntimePython, Method: DeployZIP, ExecTime: exec}); err != nil {
+	if err := c.Deploy(FunctionSpec{Name: "f", Runtime: RuntimePython, Method: DeployZIP,
+		ExecTime: load.exec, MaxConcurrent: load.maxConcurrent}); err != nil {
 		t.Fatal(err)
 	}
 	rec := &sliceRecorder{}
 	c.SetLatencyRecorder(rec)
+	var tr *trace.Tracer
+	if load.tracer != nil {
+		tr = newTestTracer(*load.tracer)
+		c.SetTracer(tr)
+	}
 	out := formTrace{}
 	req := &Request{Fn: "f"}
 
@@ -97,15 +119,17 @@ func runForm(t *testing.T, cfg Config, callback bool, n, burst int, iat, exec ti
 	out.metrics = c.Metrics()
 	out.virtual = eng.Now()
 	out.instSec = c.InstanceSeconds()
+	out.spans = tr.Drain()
+	out.dropped = tr.Dropped()
 	return out
 }
 
 // diffForms asserts the two forms produce deeply equal traces for one load
 // shape.
-func diffForms(t *testing.T, cfg Config, n, burst int, iat, exec time.Duration) {
+func diffForms(t *testing.T, cfg Config, load formLoad) {
 	t.Helper()
-	proc := runForm(t, cfg, false, n, burst, iat, exec)
-	cb := runForm(t, cfg, true, n, burst, iat, exec)
+	proc := runForm(t, cfg, false, load)
+	cb := runForm(t, cfg, true, load)
 	if proc.virtual != cb.virtual {
 		t.Errorf("virtual time diverged: proc=%v callback=%v", proc.virtual, cb.virtual)
 	}
@@ -117,6 +141,21 @@ func diffForms(t *testing.T, cfg Config, n, burst int, iat, exec time.Duration) 
 	}
 	if proc.instSec != cb.instSec {
 		t.Errorf("instance-seconds diverged: proc=%v callback=%v", proc.instSec, cb.instSec)
+	}
+	if proc.dropped != cb.dropped {
+		t.Errorf("dropped traces diverged: proc=%d callback=%d", proc.dropped, cb.dropped)
+	}
+	if !reflect.DeepEqual(proc.spans, cb.spans) {
+		if len(proc.spans) != len(cb.spans) {
+			t.Errorf("retained trace count diverged: proc=%d callback=%d", len(proc.spans), len(cb.spans))
+		} else {
+			for i := range proc.spans {
+				if !reflect.DeepEqual(proc.spans[i], cb.spans[i]) {
+					t.Errorf("trace %d diverged:\nproc     %+v\ncallback %+v", i, proc.spans[i], cb.spans[i])
+					break
+				}
+			}
+		}
 	}
 	if !reflect.DeepEqual(proc.lats, cb.lats) {
 		if len(proc.lats) != len(cb.lats) {
@@ -151,48 +190,95 @@ func noisyConfig() Config {
 	return cfg
 }
 
-// TestInvokeAsyncMatchesInvoke is the cloud-level differential gate: the
-// callback form must replay the proc form's virtual trace bit for bit
-// across load shapes covering warm reuse, cold bursts, queue waits and
-// grants, congestion slow paths, and keep-alive expiry.
-func TestInvokeAsyncMatchesInvoke(t *testing.T) {
-	t.Run("warm-steady", func(t *testing.T) {
-		diffForms(t, testConfig(), 64, 1, 50*time.Millisecond, 0)
-	})
-	t.Run("noisy-bursts", func(t *testing.T) {
-		diffForms(t, noisyConfig(), 200, 16, 20*time.Millisecond, 2*time.Millisecond)
-	})
-	t.Run("bounded-queue-handoff", func(t *testing.T) {
-		cfg := noisyConfig()
-		cfg.Policy = PolicyConfig{Kind: PolicyBoundedQueue, MaxQueuePerInstance: 4}
-		cfg.QueueHandoffDelay = dist.Uniform{Min: 500 * time.Microsecond, Max: 3 * time.Millisecond}
-		diffForms(t, cfg, 200, 24, 15*time.Millisecond, 3*time.Millisecond)
-	})
-	t.Run("queue-timeouts", func(t *testing.T) {
-		cfg := noisyConfig()
-		cfg.Policy = PolicyConfig{Kind: PolicyRateLimited, MaxQueuePerInstance: 2,
-			TokensPerSec: 2, MaxTokens: 3, InitialTokens: 1, EvalInterval: 40 * time.Millisecond}
-		cfg.QueueTimeout = 60 * time.Millisecond
-		cfg.QueueHandoffDelay = dist.Constant(time.Millisecond)
-		diffForms(t, cfg, 240, 32, 25*time.Millisecond, 4*time.Millisecond)
-	})
-	t.Run("grant-race-exact-deadline", func(t *testing.T) {
-		// All-constant delays align releases and queue deadlines on the
-		// same virtual instants, reproducing the PR 4 grant-race shape
-		// where the timeout and a grant land at the same tick.
-		cfg := testConfig()
-		cfg.Policy = PolicyConfig{Kind: PolicyBoundedQueue, MaxQueuePerInstance: 8}
-		cfg.QueueTimeout = 137 * time.Millisecond
-		cfg.QueueHandoffDelay = dist.Constant(2 * time.Millisecond)
-		diffForms(t, cfg, 160, 20, 10*time.Millisecond, 5*time.Millisecond)
-	})
+// formCase is one named (config, load) cell of the differential suite.
+type formCase struct {
+	name string
+	cfg  Config
+	load formLoad
 }
 
-// TestInvokeAsyncProcModeFallback pins the EngineProc knob and the
-// ineligibility fallbacks: a chained function, a crash-prone profile, and
-// a cloud with a tracer installed must all run the proc form through
-// InvokeAsync and report proc-form responses (Timestamps populated for
-// chains).
+// formCases are load shapes covering warm reuse, cold bursts, queue waits
+// and grants, queue handoffs and timeouts, congestion slow paths, and
+// keep-alive expiry.
+func formCases() []formCase {
+	handoff := noisyConfig()
+	handoff.Policy = PolicyConfig{Kind: PolicyBoundedQueue, MaxQueuePerInstance: 4}
+	handoff.QueueHandoffDelay = dist.Uniform{Min: 500 * time.Microsecond, Max: 3 * time.Millisecond}
+
+	timeouts := noisyConfig()
+	timeouts.Policy = PolicyConfig{Kind: PolicyRateLimited, MaxQueuePerInstance: 2,
+		TokensPerSec: 2, MaxTokens: 3, InitialTokens: 1, EvalInterval: 40 * time.Millisecond}
+	timeouts.QueueTimeout = 60 * time.Millisecond
+	timeouts.QueueHandoffDelay = dist.Constant(time.Millisecond)
+
+	// The same policy with a deadline past the cold start: some buffered
+	// requests are served, the rest time out.
+	mixed := timeouts
+	mixed.QueueTimeout = 300 * time.Millisecond
+
+	// All-constant delays align releases and queue deadlines on the same
+	// virtual instants, reproducing the grant-race shape where the timeout
+	// and a grant land at the same tick.
+	race := testConfig()
+	race.Policy = PolicyConfig{Kind: PolicyBoundedQueue, MaxQueuePerInstance: 8}
+	race.QueueTimeout = 137 * time.Millisecond
+	race.QueueHandoffDelay = dist.Constant(2 * time.Millisecond)
+
+	return []formCase{
+		{"warm-steady", testConfig(), formLoad{n: 64, burst: 1, iat: 50 * time.Millisecond}},
+		{"noisy-bursts", noisyConfig(), formLoad{n: 200, burst: 16, iat: 20 * time.Millisecond, exec: 2 * time.Millisecond}},
+		{"bounded-queue-handoff", handoff, formLoad{n: 200, burst: 24, iat: 15 * time.Millisecond, exec: 3 * time.Millisecond}},
+		{"queue-timeouts", timeouts, formLoad{n: 240, burst: 32, iat: 25 * time.Millisecond, exec: 4 * time.Millisecond}},
+		{"queue-timeouts-mixed", mixed, formLoad{n: 240, burst: 32, iat: 25 * time.Millisecond, exec: 4 * time.Millisecond}},
+		{"grant-race-exact-deadline", race, formLoad{n: 160, burst: 20, iat: 10 * time.Millisecond, exec: 5 * time.Millisecond}},
+	}
+}
+
+// TestInvokeAsyncMatchesInvoke is the cloud-level differential gate: the
+// callback form must replay the proc form's virtual trace bit for bit
+// across every formCases shape.
+func TestInvokeAsyncMatchesInvoke(t *testing.T) {
+	for _, fc := range formCases() {
+		t.Run(fc.name, func(t *testing.T) { diffForms(t, fc.cfg, fc.load) })
+	}
+}
+
+// TestInvokeAsyncTracedMatchesInvoke is the span-equivalence gate: with a
+// tracer installed the callback form must record exactly the proc form's
+// spans — same stages, attempts, start instants and durations, same cold
+// detail spans, same sampled and slowest-K retention — on every formCases
+// shape plus a concurrency limit. Rejected and timed-out requests end in
+// fail, whose trace the tracer must discard as Invoke's error return does;
+// the concurrency-limit case's small ring also makes Dropped count
+// overwrites.
+func TestInvokeAsyncTracedMatchesInvoke(t *testing.T) {
+	cases := append(formCases(), formCase{"concurrency-limit", noisyConfig(),
+		formLoad{n: 200, burst: 16, iat: 100 * time.Millisecond, exec: 30 * time.Millisecond,
+			maxConcurrent: 12, tracer: &trace.Config{SampleRate: 1, SlowestK: 8, RingCapacity: 32}}})
+	for _, fc := range cases {
+		if fc.load.tracer == nil {
+			fc.load.tracer = &trace.Config{SampleRate: 1, SlowestK: 8}
+		}
+		t.Run(fc.name, func(t *testing.T) {
+			proc := runForm(t, fc.cfg, false, fc.load)
+			if len(proc.spans) == 0 && len(proc.lats) > 0 {
+				t.Fatal("tracer retained nothing; the comparison would be vacuous")
+			}
+			if fc.load.maxConcurrent > 0 && (proc.metrics.ConcurrencyRejects == 0 || proc.dropped == 0) {
+				t.Fatalf("concurrency-limit case exercised %d rejects and %d ring overwrites; want both > 0",
+					proc.metrics.ConcurrencyRejects, proc.dropped)
+			}
+			diffForms(t, fc.cfg, fc.load)
+		})
+	}
+}
+
+// TestInvokeAsyncProcModeFallback pins the ineligibility fallbacks: a
+// chained function, an internal request, a crash-prone profile, and a
+// request carrying a caller-owned span must all run the proc form through
+// InvokeAsync (chains report proc-form responses with Timestamps
+// populated). An installed tracer, by contrast, keeps a plain request
+// callback-eligible.
 func TestInvokeAsyncProcModeFallback(t *testing.T) {
 	cfg := testConfig()
 	eng := des.NewEngine()
@@ -236,6 +322,17 @@ func TestInvokeAsyncProcModeFallback(t *testing.T) {
 	}
 	c.cfg = crash
 
+	tr := newTestTracer(trace.Config{SampleRate: 1})
+	c.SetTracer(tr)
+	if !c.callbackEligible(&Request{Fn: "consumer"}, c.functions["consumer"]) {
+		t.Error("an installed tracer must not disqualify the callback form")
+	}
+	span := tr.BeginAlways(1, "consumer", eng.Now())
+	if c.callbackEligible(&Request{Fn: "consumer", Span: span}, c.functions["consumer"]) {
+		t.Error("a request carrying a caller-owned span must fall back to the proc form")
+	}
+	c.SetTracer(nil)
+
 	// Unknown functions surface the proc form's error through done.
 	var unknownErr error
 	c.InvokeAsync(&Request{Fn: "nope"}, func(_ *Response, err error) { unknownErr = err })
@@ -247,8 +344,17 @@ func TestInvokeAsyncProcModeFallback(t *testing.T) {
 
 // TestAllocFreeCallbackChain is the zero-alloc gate for the callback fast
 // path: after warm-up (cold start paid, free list primed, ring/heap grown)
-// a warm InvokeAsync sequence must allocate nothing.
+// a warm InvokeAsync sequence must allocate nothing — also with a tracer
+// recording every request, once its record pool and span buffers are
+// primed and its ring wraps.
 func TestAllocFreeCallbackChain(t *testing.T) {
+	t.Run("untraced", func(t *testing.T) { allocFreeCallbackChain(t, nil) })
+	t.Run("traced", func(t *testing.T) {
+		allocFreeCallbackChain(t, newTestTracer(trace.Config{SampleRate: 1, SlowestK: 4, RingCapacity: 8}))
+	})
+}
+
+func allocFreeCallbackChain(t *testing.T, tr *trace.Tracer) {
 	eng := des.NewEngine()
 	defer eng.Close()
 	c, err := New(eng, testConfig(), dist.NewStreams(1))
@@ -257,6 +363,9 @@ func TestAllocFreeCallbackChain(t *testing.T) {
 	}
 	if err := c.Deploy(FunctionSpec{Name: "f", Runtime: RuntimePython, Method: DeployZIP}); err != nil {
 		t.Fatal(err)
+	}
+	if tr != nil {
+		c.SetTracer(tr)
 	}
 	c.SetEngineMode(EngineAuto)
 	req := &Request{Fn: "f"}
@@ -281,5 +390,8 @@ func TestAllocFreeCallbackChain(t *testing.T) {
 	}
 	if got := c.Metrics().Spawns; got != spawns {
 		t.Fatalf("measured runs were not warm: %d extra spawns", got-spawns)
+	}
+	if tr != nil && tr.Dropped() == 0 {
+		t.Fatal("traced runs never wrapped the ring; the tracer was not recording")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/stellar-repro/stellar/internal/des"
 	"github.com/stellar-repro/stellar/internal/dist"
+	"github.com/stellar-repro/stellar/internal/trace"
 )
 
 // BenchmarkWarmInvoke measures the simulator's cost per warm invocation —
@@ -143,7 +144,17 @@ func BenchmarkBurst100(b *testing.B) {
 // BenchmarkWarmInvokeCallback measures the callback fast path per warm
 // invocation: the straight-line Call chain with zero goroutine switches
 // and, in steady state, zero allocations.
-func BenchmarkWarmInvokeCallback(b *testing.B) {
+func BenchmarkWarmInvokeCallback(b *testing.B) { benchWarmInvokeCallback(b, nil) }
+
+// BenchmarkWarmInvokeCallbackTraced is the same chain with a tracer that
+// records every request's spans, retains the four slowest, and wraps an
+// eight-slot ring: the tracer's whole per-request cost on the fast path,
+// which must stay allocation-free once its record pool is primed.
+func BenchmarkWarmInvokeCallbackTraced(b *testing.B) {
+	benchWarmInvokeCallback(b, newTestTracer(trace.Config{SampleRate: 1, SlowestK: 4, RingCapacity: 8}))
+}
+
+func benchWarmInvokeCallback(b *testing.B, tr *trace.Tracer) {
 	eng := des.NewEngine()
 	defer eng.Close()
 	c, err := New(eng, testConfig(), dist.NewStreams(1))
@@ -153,9 +164,12 @@ func BenchmarkWarmInvokeCallback(b *testing.B) {
 	if err := c.Deploy(FunctionSpec{Name: "f", Runtime: RuntimePython, Method: DeployZIP}); err != nil {
 		b.Fatal(err)
 	}
+	if tr != nil {
+		c.SetTracer(tr)
+	}
 	c.SetEngineMode(EngineAuto)
 	req := &Request{Fn: "f"}
-	remaining := b.N
+	var remaining int
 	var done func(*Response, error)
 	done = func(_ *Response, err error) {
 		if err != nil {
@@ -167,18 +181,14 @@ func BenchmarkWarmInvokeCallback(b *testing.B) {
 			c.InvokeAsync(req, done)
 		}
 	}
-	// Warm-up outside the timer: pay the cold start and prime the pools.
-	warm := make(chan struct{})
-	c.InvokeAsync(req, func(_ *Response, err error) {
-		if err != nil {
-			b.Error(err)
-		}
-		close(warm)
-	})
+	// Warm-up outside the timer: pay the cold start and prime the pools,
+	// the tracer's record pool and span buffers included.
+	remaining = 64
+	c.InvokeAsync(req, done)
 	eng.Run(0)
-	<-warm
 	b.ReportAllocs()
 	b.ResetTimer()
+	remaining = b.N
 	c.InvokeAsync(req, done)
 	eng.Run(0)
 }

@@ -730,6 +730,27 @@ func mergeAttempt(bd *Breakdown, a Breakdown) {
 	bd.ColdStart = a.ColdStart
 }
 
+// coldSpans reconstructs inst's spawn pipeline on tr as detail spans laid
+// out back-to-back against the instance's creation instant; they nest
+// inside (and may predate) the serving request's queue wait. Both execution
+// forms call it where the serving instance turns out to be cold.
+func coldSpans(tr *trace.Req, inst *Instance) {
+	if tr == nil {
+		return
+	}
+	cb := inst.coldBreakdown
+	tr.ColdSpans(inst.createdAt,
+		trace.Phase{Stage: trace.StageColdSchedulerQueue, Dur: cb.SchedulerQueue},
+		trace.Phase{Stage: trace.StageColdPlacement, Dur: cb.Placement},
+		trace.Phase{Stage: trace.StageColdSandboxBoot, Dur: cb.SandboxBoot},
+		trace.Phase{Stage: trace.StageColdImageFetch, Dur: cb.ImageFetch},
+		trace.Phase{Stage: trace.StageColdChunkReads, Dur: cb.ChunkReads},
+		trace.Phase{Stage: trace.StageColdRuntimeInit, Dur: cb.RuntimeInit},
+		trace.Phase{Stage: trace.StageColdSnapshotRestore, Dur: cb.SnapshotRestore},
+		trace.Phase{Stage: trace.StageColdSnapshotCapture, Dur: cb.SnapshotCapture},
+	)
+}
+
 // serve runs the instance-side invocation (7)-(8): per-invocation overhead,
 // payload retrieval, busy-spin execution (CPU-throttled for low-memory
 // instances), chained downstream calls, and billing.
@@ -741,22 +762,7 @@ func (c *Cloud) serve(p *des.Proc, inst *Instance, req *Request, fn *Function, b
 		c.metrics.ColdServed++
 		fn.tm.ColdServed++
 		bd.ColdStart = inst.coldBreakdown
-		if tr != nil {
-			// Reconstruct the spawn pipeline as detail spans laid out
-			// back-to-back against the instance's creation instant; they
-			// nest inside (and may predate) this request's queue wait.
-			cb := inst.coldBreakdown
-			tr.ColdSpans(inst.createdAt,
-				trace.Phase{Stage: trace.StageColdSchedulerQueue, Dur: cb.SchedulerQueue},
-				trace.Phase{Stage: trace.StageColdPlacement, Dur: cb.Placement},
-				trace.Phase{Stage: trace.StageColdSandboxBoot, Dur: cb.SandboxBoot},
-				trace.Phase{Stage: trace.StageColdImageFetch, Dur: cb.ImageFetch},
-				trace.Phase{Stage: trace.StageColdChunkReads, Dur: cb.ChunkReads},
-				trace.Phase{Stage: trace.StageColdRuntimeInit, Dur: cb.RuntimeInit},
-				trace.Phase{Stage: trace.StageColdSnapshotRestore, Dur: cb.SnapshotRestore},
-				trace.Phase{Stage: trace.StageColdSnapshotCapture, Dur: cb.SnapshotCapture},
-			)
-		}
+		coldSpans(tr, inst)
 	} else {
 		c.metrics.WarmServed++
 		fn.tm.WarmServed++

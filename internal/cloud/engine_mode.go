@@ -10,8 +10,9 @@ type EngineMode int
 
 const (
 	// EngineAuto (the zero value) uses the callback fast path for
-	// eligible warm-path requests and goroutine procs for everything
-	// else (chains, faults, tracing). This is the default everywhere.
+	// eligible warm-path requests, traced or not, and goroutine procs for
+	// everything else (chains, faults, retries, workflow-owned spans).
+	// This is the default everywhere.
 	EngineAuto EngineMode = iota
 	// EngineProc forces every invocation onto the goroutine proc path,
 	// reproducing the pre-callback engine exactly.

@@ -203,12 +203,12 @@ func TestEngineFormsEquivalent(t *testing.T) {
 
 	t.Run("trace", func(t *testing.T) {
 		t.Parallel()
-		// With a tracer installed every request falls back to the proc
-		// pipeline, so this cell proves the fallback seam itself is
-		// schedule-neutral: swapping the arrival loop's shape must not move
-		// a single span timestamp.
+		// A tracer keeps requests on the callback fast path, so this cell
+		// proves the fast path emits the proc form's spans: besides the
+		// rendered report (aggregates and attribution), every retained
+		// span trace must match field for field.
 		for _, workers := range []int{1, 8} {
-			var got [2]string
+			var got, spans [2]string
 			for i, engine := range engineForms {
 				res, err := RunTrace(TraceOptions{
 					Provider:    "aws",
@@ -228,10 +228,18 @@ func TestEngineFormsEquivalent(t *testing.T) {
 				var b strings.Builder
 				WriteTraceReport(&b, res)
 				got[i] = b.String()
+				js, err := json.Marshal(res.Traces)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spans[i] = string(js)
 			}
 			if got[0] != got[1] {
 				t.Errorf("trace workers=%d: proc and callback forms diverged\n--- proc ---\n%s--- callback ---\n%s",
 					workers, got[0], got[1])
+			}
+			if spans[0] != spans[1] {
+				t.Errorf("trace workers=%d: proc and callback forms retained different span traces", workers)
 			}
 		}
 	})

@@ -12,6 +12,24 @@ import (
 	"github.com/stellar-repro/stellar/internal/stats/sketch"
 )
 
+// validateSeries rejects negative arrival-shape options of a scale or trace
+// series. It runs on normalized options: zero keeps its documented meaning
+// (the default, or an instant handler for ExecTime), while a negative
+// value is an error rather than a silent default.
+func validateSeries(series string, shards int, iat time.Duration, burst int, exec time.Duration) error {
+	switch {
+	case shards < 0:
+		return fmt.Errorf("%s: negative shard count %d", series, shards)
+	case iat < 0:
+		return fmt.Errorf("%s: negative inter-arrival time %v", series, iat)
+	case burst < 0:
+		return fmt.Errorf("%s: negative burst %d", series, burst)
+	case exec < 0:
+		return fmt.Errorf("%s: negative exec time %v", series, exec)
+	}
+	return nil
+}
+
 // ScaleOptions configures a sustained large-n latency series against one
 // simulated provider — the bounded-memory counterpart of the paper-scale
 // figure runs. Where the figure pipeline retains every sample for exact
@@ -52,13 +70,13 @@ type ScaleOptions struct {
 }
 
 func (o ScaleOptions) normalized() ScaleOptions {
-	if o.Shards <= 0 {
+	if o.Shards == 0 {
 		o.Shards = 8
 	}
-	if o.IAT <= 0 {
+	if o.IAT == 0 {
 		o.IAT = 100 * time.Millisecond
 	}
-	if o.Burst <= 0 {
+	if o.Burst == 0 {
 		o.Burst = 1
 	}
 	return o
@@ -70,6 +88,9 @@ func (o ScaleOptions) validate() error {
 	}
 	if o.Invocations == 0 {
 		return fmt.Errorf("scale: need at least one invocation")
+	}
+	if err := validateSeries("scale", o.Shards, o.IAT, o.Burst, o.ExecTime); err != nil {
+		return err
 	}
 	if uint64(o.Shards) > o.Invocations {
 		return fmt.Errorf("scale: %d shards for %d invocations", o.Shards, o.Invocations)

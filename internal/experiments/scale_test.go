@@ -111,6 +111,10 @@ func TestScaleOptionValidation(t *testing.T) {
 		{Provider: "aws"},  // no invocations
 		{Provider: "aws", Invocations: 2, Shards: 4},    // more shards than work
 		{Provider: "no-such-cloud", Invocations: 1_000}, // unknown profile
+		{Provider: "aws", Invocations: 100, Shards: -3},
+		{Provider: "aws", Invocations: 100, IAT: -5 * time.Millisecond},
+		{Provider: "aws", Invocations: 100, Burst: -5},
+		{Provider: "aws", Invocations: 100, ExecTime: -time.Second},
 	} {
 		if _, err := RunScale(opts); err == nil {
 			t.Fatalf("RunScale(%+v) accepted invalid options", opts)

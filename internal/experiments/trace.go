@@ -40,21 +40,22 @@ type TraceOptions struct {
 	ExecTime time.Duration
 	// Trace configures the per-shard sampler (rate, slowest-K, ring bound).
 	Trace trace.Config
-	// Engine selects the invocation execution form. With a tracer
-	// installed every request falls back to the proc form regardless, so
-	// this knob only swaps the arrival loop's shape; outputs are
-	// byte-identical (TestEngineFormsEquivalent).
+	// Engine selects the invocation execution form. The default (auto)
+	// runs arrivals and warm invocations as engine callbacks that record
+	// their spans in place, so a traced series measures the same code path
+	// as an untraced one; proc forces the goroutine-per-request form.
+	// Outputs are byte-identical either way (TestEngineFormsEquivalent).
 	Engine cloud.EngineMode
 }
 
 func (o TraceOptions) normalized() TraceOptions {
-	if o.Shards <= 0 {
+	if o.Shards == 0 {
 		o.Shards = 8
 	}
-	if o.IAT <= 0 {
+	if o.IAT == 0 {
 		o.IAT = 100 * time.Millisecond
 	}
-	if o.Burst <= 0 {
+	if o.Burst == 0 {
 		o.Burst = 1
 	}
 	return o
@@ -66,6 +67,9 @@ func (o TraceOptions) validate() error {
 	}
 	if o.Invocations == 0 {
 		return fmt.Errorf("trace: need at least one invocation")
+	}
+	if err := validateSeries("trace", o.Shards, o.IAT, o.Burst, o.ExecTime); err != nil {
+		return err
 	}
 	if uint64(o.Shards) > o.Invocations {
 		return fmt.Errorf("trace: %d shards for %d invocations", o.Shards, o.Invocations)
@@ -220,9 +224,8 @@ func runTraceShard(opts TraceOptions, sh runner.Shard) (*traceShard, error) {
 			}
 		})
 	} else {
-		// Callback-form arrivals; the installed tracer makes InvokeAsync
-		// fall back to a proc per request, exercising exactly the
-		// fallback seam the two-forms contract depends on.
+		// Callback-form arrivals: eligible warm requests run as callback
+		// chains that emit the same spans Invoke would.
 		done := func(_ *cloud.Response, err error) {
 			if err != nil {
 				out.errors++

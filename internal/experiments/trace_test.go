@@ -140,6 +140,10 @@ func TestTraceOptionValidation(t *testing.T) {
 		{Provider: "aws", Invocations: 100},                                              // sampler disabled
 		{Provider: "aws", Invocations: 100, Trace: trace.Config{SampleRate: 2}},          // bad rate
 		{Provider: "no-such-cloud", Invocations: 100, Trace: trace.Config{SampleRate: 1}},
+		{Provider: "aws", Invocations: 100, Shards: -3, Trace: trace.Config{SampleRate: 1}},
+		{Provider: "aws", Invocations: 100, IAT: -5 * time.Millisecond, Trace: trace.Config{SampleRate: 1}},
+		{Provider: "aws", Invocations: 100, Burst: -5, Trace: trace.Config{SampleRate: 1}},
+		{Provider: "aws", Invocations: 100, ExecTime: -time.Second, Trace: trace.Config{SampleRate: 1}},
 	} {
 		if _, err := RunTrace(opts); err == nil {
 			t.Fatalf("RunTrace(%+v) accepted invalid options", opts)
