@@ -542,10 +542,10 @@ func TestScaleCommand(t *testing.T) {
 }
 
 // TestSeriesCommandsRejectNegativeOptions: a negative arrival-shape flag
-// is a typo, not a request for the default — scale and trace must exit 1
-// naming the option instead of silently running another series.
+// is a typo, not a request for the default — every burst-clock command must
+// exit 1 naming the option instead of silently running another series.
 func TestSeriesCommandsRejectNegativeOptions(t *testing.T) {
-	for _, cmd := range []string{"scale", "trace"} {
+	for _, cmd := range []string{"scale", "trace", "faults", "workflow"} {
 		for _, tc := range []struct{ flag, value, want string }{
 			{"-exec", "-1s", "negative exec time"},
 			{"-iat", "-5ms", "negative inter-arrival time"},

@@ -39,7 +39,6 @@ func cmdFaults(args []string, stdout io.Writer) (err error) {
 	backoffCap := fs.Duration("backoff-cap", time.Second, "retry backoff cap")
 	jitter := fs.Bool("jitter", true, "add deterministic jitter to backoff")
 	hedge := fs.Duration("hedge", 0, "launch a hedged attempt after this delay (0 = off)")
-	engine := addEngineFlag(fs)
 	jsonPath := fs.String("json", "", "write the sweep as JSON to this file (\"-\" = stdout)")
 	csvPath := fs.String("csv", "", "write the sweep as CSV to this file (\"-\" = stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -61,10 +60,6 @@ func cmdFaults(args []string, stdout io.Writer) (err error) {
 		}
 		*provider = loaded
 	}
-	mode, err := engine.mode()
-	if err != nil {
-		return err
-	}
 
 	opts := experiments.FaultsOptions{
 		Provider:    *provider,
@@ -75,7 +70,6 @@ func cmdFaults(args []string, stdout io.Writer) (err error) {
 		IAT:         *iat,
 		Burst:       *burst,
 		ExecTime:    *exec,
-		Engine:      mode,
 	}
 	if opts.Rates, err = parseFloats(*rates); err != nil {
 		return fmt.Errorf("faults: -rates: %w", err)

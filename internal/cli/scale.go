@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"github.com/stellar-repro/stellar/internal/experiments"
-	"github.com/stellar-repro/stellar/internal/providers"
 	"github.com/stellar-repro/stellar/internal/results"
 )
 
@@ -19,26 +17,15 @@ import (
 func cmdScale(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("scale", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	prof := addProfileFlags(fs)
-	provider := fs.String("provider", "aws", "provider profile")
-	providerFile := fs.String("provider-file", "", "JSON provider profile to load and use")
-	invocations := fs.Uint64("n", 5_000_000, "total invocations across all shards")
-	shards := fs.Int("shards", 8, "independent simulation shards")
-	workers := fs.Int("workers", 0, "concurrent shards (0 = all CPUs, 1 = serial)")
-	iat := fs.Duration("iat", 100*time.Millisecond, "inter-arrival time between bursts within a shard")
-	burst := fs.Int("burst", 1, "requests per arrival step")
-	exec := fs.Duration("exec", 0, "function busy-spin time")
+	sf := addSeriesFlags(fs, 5_000_000)
 	alpha := fs.Float64("alpha", 0, "sketch relative-accuracy target (0 = default 0.5%)")
 	exact := fs.Bool("exact", false, "record exact per-sample latencies (O(n) memory; small n only)")
-	engine := addEngineFlag(fs)
-	seed := fs.Int64("seed", 1, "random seed")
 	csvPath := fs.String("csv", "", "write the latency CDF as CSV")
 	savePath := fs.String("save", "", "save the merged sketch as a results file")
-	name := fs.String("name", "scale", "run name used in saved results")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := prof.start()
+	stopProf, err := sf.prof.start()
 	if err != nil {
 		return err
 	}
@@ -47,31 +34,13 @@ func cmdScale(args []string, stdout io.Writer) (err error) {
 			err = perr
 		}
 	}()
-	if *providerFile != "" {
-		loaded, err := providers.RegisterFile(*providerFile)
-		if err != nil {
-			return err
-		}
-		*provider = loaded
-	}
-	mode, err := engine.mode()
+	opts, err := sf.options()
 	if err != nil {
 		return err
 	}
+	opts.Alpha, opts.Exact = *alpha, *exact
 
-	res, err := experiments.RunScale(experiments.ScaleOptions{
-		Provider:    *provider,
-		Invocations: *invocations,
-		Shards:      *shards,
-		Workers:     *workers,
-		Seed:        *seed,
-		IAT:         *iat,
-		Burst:       *burst,
-		ExecTime:    *exec,
-		Alpha:       *alpha,
-		Exact:       *exact,
-		Engine:      mode,
-	})
+	res, err := experiments.RunScale(opts)
 	if err != nil {
 		return err
 	}
@@ -81,7 +50,7 @@ func cmdScale(args []string, stdout io.Writer) (err error) {
 		if res.Sketch == nil {
 			return fmt.Errorf("scale: -save requires sketch mode (drop -exact)")
 		}
-		rec := results.FromScaleRun(*name, res.Sketch, int(res.Colds), int(res.Errors))
+		rec := results.FromScaleRun(*sf.name, res.Sketch, int(res.Colds), int(res.Errors))
 		if err := rec.Save(*savePath); err != nil {
 			return err
 		}

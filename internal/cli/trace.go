@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"github.com/stellar-repro/stellar/internal/experiments"
-	"github.com/stellar-repro/stellar/internal/providers"
 	"github.com/stellar-repro/stellar/internal/results"
 	"github.com/stellar-repro/stellar/internal/trace"
 )
@@ -20,28 +18,17 @@ import (
 func cmdTrace(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	prof := addProfileFlags(fs)
-	provider := fs.String("provider", "aws", "provider profile")
-	providerFile := fs.String("provider-file", "", "JSON provider profile to load and use")
-	invocations := fs.Uint64("n", 10_000, "total invocations across all shards")
-	shards := fs.Int("shards", 8, "independent simulation shards")
-	workers := fs.Int("workers", 0, "concurrent shards (0 = all CPUs, 1 = serial)")
-	iat := fs.Duration("iat", 100*time.Millisecond, "inter-arrival time between bursts within a shard")
-	burst := fs.Int("burst", 1, "requests per arrival step")
-	exec := fs.Duration("exec", 0, "function busy-spin time")
+	sf := addSeriesFlags(fs, 10_000)
 	sample := fs.Float64("sample", 0.01, "head-sampling rate in [0,1]")
 	slowest := fs.Int("slowest", 64, "always retain the K slowest requests per shard (0 = off)")
 	ring := fs.Int("ring", 0, "per-shard trace ring capacity (0 = default 8192)")
-	engine := addEngineFlag(fs)
-	seed := fs.Int64("seed", 1, "random seed")
 	out := fs.String("out", "", "write retained traces as Chrome trace_event JSON")
 	attrib := fs.Bool("attrib", true, "print the per-stage tail-attribution report")
 	savePath := fs.String("save", "", "save the run (latencies + traces) as a results file")
-	name := fs.String("name", "trace", "run name used in saved results")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := prof.start()
+	stopProf, err := sf.prof.start()
 	if err != nil {
 		return err
 	}
@@ -50,33 +37,26 @@ func cmdTrace(args []string, stdout io.Writer) (err error) {
 			err = perr
 		}
 	}()
-	if *providerFile != "" {
-		loaded, err := providers.RegisterFile(*providerFile)
-		if err != nil {
-			return err
-		}
-		*provider = loaded
-	}
-	mode, err := engine.mode()
+	o, err := sf.options()
 	if err != nil {
 		return err
 	}
 
 	res, err := experiments.RunTrace(experiments.TraceOptions{
-		Provider:    *provider,
-		Invocations: *invocations,
-		Shards:      *shards,
-		Workers:     *workers,
-		Seed:        *seed,
-		IAT:         *iat,
-		Burst:       *burst,
-		ExecTime:    *exec,
+		Provider:    o.Provider,
+		Invocations: o.Invocations,
+		Shards:      o.Shards,
+		Workers:     o.Workers,
+		Seed:        o.Seed,
+		IAT:         o.IAT,
+		Burst:       o.Burst,
+		ExecTime:    o.ExecTime,
 		Trace: trace.Config{
 			SampleRate:   *sample,
 			SlowestK:     *slowest,
 			RingCapacity: *ring,
 		},
-		Engine: mode,
+		Engine: o.Engine,
 	})
 	if err != nil {
 		return err
@@ -104,7 +84,7 @@ func cmdTrace(args []string, stdout io.Writer) (err error) {
 			len(res.Traces), *out)
 	}
 	if *savePath != "" {
-		rec := results.FromTraceRun(*name, res.Latencies, res.Traces, int(res.Colds), int(res.Errors))
+		rec := results.FromTraceRun(*sf.name, res.Latencies, res.Traces, int(res.Colds), int(res.Errors))
 		if err := rec.Save(*savePath); err != nil {
 			return err
 		}

@@ -39,7 +39,6 @@ func cmdWorkflow(args []string, stdout io.Writer) (err error) {
 	exec := fs.Duration("exec", 5*time.Millisecond, "per-node busy-spin time")
 	sample := fs.Float64("sample", 0.25, "per-workflow trace-sampling rate in [0,1]")
 	ring := fs.Int("ring", 0, "per-shard trace ring capacity (0 = default 8192)")
-	engine := addEngineFlag(fs)
 	seed := fs.Int64("seed", 1, "random seed")
 	sweep := fs.Bool("sweep", false, "sweep edge modes x transfers x payload sizes instead of one cell")
 	payloads := fs.String("payloads", "", "comma-separated payload sizes for -sweep (default 1024,65536,1048576)")
@@ -64,10 +63,6 @@ func cmdWorkflow(args []string, stdout io.Writer) (err error) {
 			return err
 		}
 		*provider = loaded
-	}
-	engineMode, err := engine.mode()
-	if err != nil {
-		return err
 	}
 	edgeMode, err := workflow.ParseMode(*modeFlag)
 	if err != nil {
@@ -94,7 +89,6 @@ func cmdWorkflow(args []string, stdout io.Writer) (err error) {
 		ExecTime:     *exec,
 		Sample:       *sample,
 		TraceRing:    *ring,
-		Engine:       engineMode,
 	}
 
 	if *sweep {

@@ -43,6 +43,3 @@ func ParseEngineMode(s string) (EngineMode, error) {
 // SetEngineMode selects the execution form for subsequent InvokeAsync
 // calls. Safe to change between runs on the same cloud.
 func (c *Cloud) SetEngineMode(m EngineMode) { c.mode = m }
-
-// Mode reports the cloud's current execution form.
-func (c *Cloud) Mode() EngineMode { return c.mode }

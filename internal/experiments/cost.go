@@ -618,14 +618,7 @@ func runPopulationShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shar
 				out.appCompleted++
 				out.appSk.Add(res.Makespan)
 			}
-			eng.Spawn("cost/app-arrivals", func(p *des.Proc) {
-				for i := uint64(0); i < n; i++ {
-					eng.Spawn("cost/app", runOne)
-					if i+1 < n {
-						p.Sleep(opts.AppIAT)
-					}
-				}
-			})
+			burstArrivals(eng, n, 1, opts.AppIAT, func() { eng.Spawn("cost/app", runOne) })
 		}
 	}
 

@@ -9,7 +9,6 @@ import (
 
 	"github.com/stellar-repro/stellar/internal/cloud"
 	"github.com/stellar-repro/stellar/internal/trace"
-	"github.com/stellar-repro/stellar/internal/workflow"
 )
 
 // engineForms are the two execution forms the differential suite compares:
@@ -27,9 +26,10 @@ func formOpts(engine cloud.EngineMode, workers int) Options {
 // TestEngineFormsEquivalent is the two-forms contract: every experiment
 // pipeline must produce byte-identical output whether invocations run as
 // goroutine procs or as event-callback chains, at any worker count. The
-// figures compare summary fingerprints; table1, breakdown, scale, faults,
-// and trace compare fully rendered reports, so every number a user can see
-// is covered. A divergence here means the callback state machine's event
+// figures compare summary fingerprints; table1, breakdown, scale and trace
+// compare fully rendered reports, so every number a user can see is
+// covered. Faults and workflow have no knob: their requests always run as
+// procs, and their outputs are pinned by golden fixtures instead. A divergence here means the callback state machine's event
 // schedule drifted from the proc pipeline's — fix the schedule, never the
 // fixture.
 func TestEngineFormsEquivalent(t *testing.T) {
@@ -137,65 +137,6 @@ func TestEngineFormsEquivalent(t *testing.T) {
 			}
 			if got[0] != got[1] {
 				t.Errorf("scale workers=%d: proc and callback forms diverged\n--- proc ---\n%s--- callback ---\n%s",
-					workers, got[0], got[1])
-			}
-		}
-	})
-
-	t.Run("faults", func(t *testing.T) {
-		t.Parallel()
-		// The resilient-client sweep always drives requests from retry
-		// procs, so this cell asserts the knob's documented no-op: both
-		// settings run the proc pipeline and render identical JSON.
-		for _, workers := range []int{1, 8} {
-			var got [2]string
-			for i, engine := range engineForms {
-				res, err := RunFaults(FaultsOptions{
-					Provider:    "aws",
-					Invocations: 400,
-					Shards:      2,
-					Workers:     workers,
-					Seed:        1,
-					IAT:         20 * time.Millisecond,
-					Rates:       []float64{0, 0.05},
-					Engine:      engine,
-				})
-				if err != nil {
-					t.Fatalf("faults engine=%v workers=%d: %v", engine, workers, err)
-				}
-				var b strings.Builder
-				if err := json.NewEncoder(&b).Encode(res); err != nil {
-					t.Fatal(err)
-				}
-				got[i] = b.String()
-			}
-			if got[0] != got[1] {
-				t.Errorf("faults workers=%d: proc and callback forms diverged\n--- proc ---\n%s--- callback ---\n%s",
-					workers, got[0], got[1])
-			}
-		}
-	})
-
-	t.Run("workflow", func(t *testing.T) {
-		t.Parallel()
-		// Workflow instances always run their root as a proc-pipeline request
-		// (the continuation blocks inside serving windows), so this cell
-		// proves the arrival loop's shape — the only part that changes with
-		// the knob — never moves a span timestamp, edge tail, or barrier
-		// count in the rendered report.
-		for _, workers := range []int{1, 8} {
-			var got [2]string
-			for i, engine := range engineForms {
-				var b strings.Builder
-				res, err := RunWorkflow(workflowGoldenOpts("mapreduce", workflow.TransferBlobstore, engine, workers))
-				if err != nil {
-					t.Fatalf("workflow engine=%v workers=%d: %v", engine, workers, err)
-				}
-				WriteWorkflowReport(&b, res)
-				got[i] = b.String()
-			}
-			if got[0] != got[1] {
-				t.Errorf("workflow workers=%d: proc and callback forms diverged\n--- proc ---\n%s--- callback ---\n%s",
 					workers, got[0], got[1])
 			}
 		}

@@ -48,21 +48,16 @@ type FaultsOptions struct {
 	// faults.Config.Scaled). The zero value defaults to full-strength
 	// drops plus half-strength spawn failures.
 	Modes faults.Config
-	// Engine selects the invocation execution form. The resilient-client
-	// sweep always drives invocations from retry/hedge procs, so both
-	// settings run the proc pipeline and outputs are byte-identical; the
-	// knob exists so differential runs can assert exactly that.
-	Engine cloud.EngineMode
 }
 
 func (o FaultsOptions) normalized() FaultsOptions {
-	if o.Shards <= 0 {
+	if o.Shards == 0 {
 		o.Shards = 4
 	}
-	if o.IAT <= 0 {
+	if o.IAT == 0 {
 		o.IAT = 100 * time.Millisecond
 	}
-	if o.Burst <= 0 {
+	if o.Burst == 0 {
 		o.Burst = 1
 	}
 	if len(o.Rates) == 0 {
@@ -87,6 +82,9 @@ func (o FaultsOptions) validate() error {
 	}
 	if o.Invocations == 0 {
 		return fmt.Errorf("faults: need at least one invocation")
+	}
+	if err := validateSeries("faults", o.Shards, o.IAT, o.Burst, o.ExecTime); err != nil {
+		return err
 	}
 	if uint64(o.Shards) > o.Invocations {
 		return fmt.Errorf("faults: %d shards for %d invocations", o.Shards, o.Invocations)
@@ -271,7 +269,6 @@ func runFaultsShard(opts FaultsOptions, rate float64, pol faults.Policy, shardId
 	}
 	defer e.close()
 	c := e.cloud
-	c.SetEngineMode(opts.Engine)
 	if err := c.Deploy(cloud.FunctionSpec{
 		Name:     "faults",
 		Runtime:  cloud.RuntimePython,
@@ -300,22 +297,7 @@ func runFaultsShard(opts FaultsOptions, rate float64, pol faults.Policy, shardId
 		}
 	}
 	eng := e.eng
-	eng.Spawn("faults/arrivals", func(p *des.Proc) {
-		remaining := n
-		for remaining > 0 {
-			burst := uint64(opts.Burst)
-			if burst > remaining {
-				burst = remaining
-			}
-			for j := uint64(0); j < burst; j++ {
-				eng.Spawn("faults/req", invoke)
-			}
-			remaining -= burst
-			if remaining > 0 {
-				p.Sleep(opts.IAT)
-			}
-		}
-	})
+	burstArrivals(eng, n, opts.Burst, opts.IAT, func() { eng.Spawn("faults/req", invoke) })
 	eng.Run(0)
 
 	out.metrics = c.Metrics()

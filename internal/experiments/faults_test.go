@@ -57,6 +57,10 @@ func TestFaultsOptionsValidation(t *testing.T) {
 		{"missing provider", func(o *FaultsOptions) { o.Provider = "" }},
 		{"zero invocations", func(o *FaultsOptions) { o.Invocations = 0 }},
 		{"more shards than invocations", func(o *FaultsOptions) { o.Invocations = 1; o.Shards = 2 }},
+		{"negative shards", func(o *FaultsOptions) { o.Shards = -3 }},
+		{"negative iat", func(o *FaultsOptions) { o.IAT = -5 * time.Millisecond }},
+		{"negative burst", func(o *FaultsOptions) { o.Burst = -5 }},
+		{"negative exec", func(o *FaultsOptions) { o.ExecTime = -time.Second }},
 		{"negative rate", func(o *FaultsOptions) { o.Rates = []float64{-0.5} }},
 		{"rate above one", func(o *FaultsOptions) { o.Rates = []float64{1.5} }},
 		{"bad policy", func(o *FaultsOptions) { o.Policies = []faults.Policy{{MaxRetries: -1}} }},

@@ -7,15 +7,18 @@ import (
 
 	"github.com/stellar-repro/stellar/internal/cloud"
 	"github.com/stellar-repro/stellar/internal/des"
+	"github.com/stellar-repro/stellar/internal/dist"
 	"github.com/stellar-repro/stellar/internal/runner"
 	"github.com/stellar-repro/stellar/internal/stats"
 	"github.com/stellar-repro/stellar/internal/stats/sketch"
+	"github.com/stellar-repro/stellar/internal/trace"
 )
 
-// validateSeries rejects negative arrival-shape options of a scale or trace
-// series. It runs on normalized options: zero keeps its documented meaning
-// (the default, or an instant handler for ExecTime), while a negative
-// value is an error rather than a silent default.
+// validateSeries rejects negative arrival-shape options of a burst-clock
+// driver (scale, trace, faults, workflow). It runs on normalized options:
+// zero keeps its documented meaning (the default, or an instant handler for
+// ExecTime), while a negative value is an error rather than a silent
+// default.
 func validateSeries(series string, shards int, iat time.Duration, burst int, exec time.Duration) error {
 	switch {
 	case shards < 0:
@@ -63,44 +66,62 @@ type ScaleOptions struct {
 	// small n.
 	Exact bool
 	// Engine selects the invocation execution form. The default (auto)
-	// runs arrivals and warm invocations as engine callbacks — the series'
-	// throughput mode — while proc forces the goroutine-per-request form.
-	// Results are byte-identical either way (TestEngineFormsEquivalent).
+	// runs warm invocations as engine callback chains — the series'
+	// throughput mode — while proc forces the goroutine-per-request form;
+	// the arrival clock is a callback either way. Results are
+	// byte-identical across forms (TestEngineFormsEquivalent).
 	Engine cloud.EngineMode
 }
 
-func (o ScaleOptions) normalized() ScaleOptions {
-	if o.Shards == 0 {
-		o.Shards = 8
-	}
-	if o.IAT == 0 {
-		o.IAT = 100 * time.Millisecond
-	}
-	if o.Burst == 0 {
-		o.Burst = 1
-	}
-	return o
+// series is one scale-shaped run: the options, the series name ("scale" or
+// "trace": the deployed function's name and the error prefix) and an
+// optional tracer. RunScale runs it untraced; RunTrace maps its options onto
+// it with exact recording and a tracer installed, so a traced series is the
+// scale series' own code path with spans recorded.
+type series struct {
+	ScaleOptions
+	name  string
+	trace *trace.Config
 }
 
-func (o ScaleOptions) validate() error {
-	if o.Provider == "" {
-		return fmt.Errorf("scale: provider is required")
+func (s series) normalized() series {
+	if s.Shards == 0 {
+		s.Shards = 8
 	}
-	if o.Invocations == 0 {
-		return fmt.Errorf("scale: need at least one invocation")
+	if s.IAT == 0 {
+		s.IAT = 100 * time.Millisecond
 	}
-	if err := validateSeries("scale", o.Shards, o.IAT, o.Burst, o.ExecTime); err != nil {
+	if s.Burst == 0 {
+		s.Burst = 1
+	}
+	return s
+}
+
+func (s series) validate() error {
+	if s.Provider == "" {
+		return fmt.Errorf("%s: provider is required", s.name)
+	}
+	if s.Invocations == 0 {
+		return fmt.Errorf("%s: need at least one invocation", s.name)
+	}
+	if err := validateSeries(s.name, s.Shards, s.IAT, s.Burst, s.ExecTime); err != nil {
 		return err
 	}
-	if uint64(o.Shards) > o.Invocations {
-		return fmt.Errorf("scale: %d shards for %d invocations", o.Shards, o.Invocations)
+	if uint64(s.Shards) > s.Invocations {
+		return fmt.Errorf("%s: %d shards for %d invocations", s.name, s.Shards, s.Invocations)
 	}
-	if o.Alpha != 0 {
-		if err := sketch.ValidateAlpha(o.Alpha); err != nil {
-			return fmt.Errorf("scale: %w", err)
+	if s.Alpha != 0 {
+		if err := sketch.ValidateAlpha(s.Alpha); err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
 		}
 	}
-	return nil
+	if s.trace == nil {
+		return nil
+	}
+	if s.trace.SampleRate == 0 && s.trace.SlowestK == 0 {
+		return fmt.Errorf("%s: sampler disabled (set a sample rate or slowest-K)", s.name)
+	}
+	return s.trace.Validate()
 }
 
 // ScaleResult is the merged outcome of a scale series.
@@ -123,16 +144,23 @@ type ScaleResult struct {
 	// VirtualTime is the longest shard's simulated duration — the series'
 	// virtual wall-clock.
 	VirtualTime time.Duration
+
+	// traces and dropped are a traced series' retained span traces (in
+	// shard order) and ring overwrites; RunTrace surfaces them.
+	traces  []trace.RequestRecord
+	dropped uint64
 }
 
 // Summary returns the headline metrics of the merged distribution.
 func (r *ScaleResult) Summary() stats.Summary { return r.Recorder.Summarize() }
 
-// scaleShard is one shard's streamed outcome.
-type scaleShard struct {
+// seriesShard is one shard's streamed outcome.
+type seriesShard struct {
 	rec     sketch.Recorder
 	colds   uint64
 	errors  uint64
+	dropped uint64
+	traces  []trace.RequestRecord
 	virtual time.Duration
 }
 
@@ -147,48 +175,81 @@ func shardInvocations(total uint64, shards, index int) uint64 {
 	return base
 }
 
+// burstArrivals is the one arrival clock of every burst-shaped driver: n
+// arrivals in bursts of burst every iat, the first burst at the current
+// instant and the last one truncated to what remains. It is a
+// self-rescheduling engine callback — one event per tick, no goroutine — and
+// fire runs once per arrival, in arrival order.
+func burstArrivals(eng *des.Engine, n uint64, burst int, iat time.Duration, fire func()) {
+	remaining := n
+	var tick func()
+	tick = func() {
+		b := uint64(burst)
+		if b > remaining {
+			b = remaining
+		}
+		for j := uint64(0); j < b; j++ {
+			fire()
+		}
+		remaining -= b
+		if remaining > 0 {
+			eng.CallAfter(iat, tick)
+		}
+	}
+	eng.Call(tick)
+}
+
 // RunScale drives one sustained series: Shards independent simulated
 // clouds, each streaming its invocations through the cloud's Recorder seam
 // with nothing retained per request, merged at the end in
 // O(shards × sketch grid). Heap is bounded by Shards × (environment +
 // sketch), independent of Invocations.
 func RunScale(opts ScaleOptions) (*ScaleResult, error) {
-	opts = opts.normalized()
-	if err := opts.validate(); err != nil {
+	return runSeries(series{ScaleOptions: opts, name: "scale"})
+}
+
+// runSeries normalizes, validates and runs one series, merging its shards
+// in shard-index order so results are byte-identical at any Workers
+// setting.
+func runSeries(s series) (*ScaleResult, error) {
+	s = s.normalized()
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	res := &ScaleResult{
-		Provider:    opts.Provider,
-		Invocations: opts.Invocations,
-		Shards:      opts.Shards,
-		Exact:       opts.Exact,
+		Provider:    s.Provider,
+		Invocations: s.Invocations,
+		Shards:      s.Shards,
+		Exact:       s.Exact,
 	}
-	if opts.Exact {
-		res.Recorder = stats.NewSample(int(opts.Invocations))
+	if s.Exact {
+		res.Recorder = stats.NewSample(int(s.Invocations))
 	} else {
-		res.Sketch = sketch.New(opts.Alpha)
+		res.Sketch = sketch.New(s.Alpha)
 		res.Recorder = res.Sketch
 	}
 
-	pool := runner.Pool{Workers: opts.Workers, Seed: opts.Seed}
-	_, err := runner.MapReduce(pool, opts.Shards, res,
-		func(sh runner.Shard) (*scaleShard, error) {
-			return runScaleShard(opts, sh)
+	pool := runner.Pool{Workers: s.Workers, Seed: s.Seed}
+	_, err := runner.MapReduce(pool, s.Shards, res,
+		func(sh runner.Shard) (*seriesShard, error) {
+			return runSeriesShard(s, sh)
 		},
-		mergeScaleShard)
+		mergeSeriesShard)
 	if err != nil {
 		return nil, err
 	}
 	if res.Recorder.Count() == 0 {
-		return nil, fmt.Errorf("scale: all %d invocations failed", opts.Invocations)
+		return nil, fmt.Errorf("%s: all %d invocations failed", s.name, s.Invocations)
 	}
 	return res, nil
 }
 
-// mergeScaleShard folds one shard into the accumulated result.
-func mergeScaleShard(res *ScaleResult, sh *scaleShard) (*ScaleResult, error) {
+// mergeSeriesShard folds one shard into the accumulated result.
+func mergeSeriesShard(res *ScaleResult, sh *seriesShard) (*ScaleResult, error) {
 	res.Colds += sh.colds
 	res.Errors += sh.errors
+	res.dropped += sh.dropped
+	res.traces = append(res.traces, sh.traces...)
 	if sh.virtual > res.VirtualTime {
 		res.VirtualTime = sh.virtual
 	}
@@ -199,99 +260,74 @@ func mergeScaleShard(res *ScaleResult, sh *scaleShard) (*ScaleResult, error) {
 	return res, res.Sketch.Merge(sh.rec.(*sketch.Sketch))
 }
 
-// runScaleShard streams one shard's invocations through an isolated
-// environment. The arrival loop retains nothing per request: a single
-// reused request, a single spawned body closure, and the shard recorder
-// fed by the cloud's Recorder seam.
-func runScaleShard(opts ScaleOptions, sh runner.Shard) (*scaleShard, error) {
-	n := shardInvocations(opts.Invocations, opts.Shards, sh.Index)
-	out := &scaleShard{}
-	if opts.Exact {
+// runSeriesShard streams one shard's invocations through an isolated
+// environment. The arrival clock retains nothing per request: a single
+// reused request, a single completion callback, and the shard recorder fed
+// by the cloud's Recorder seam. Under EngineAuto eligible warm requests run
+// as callback chains; under EngineProc InvokeAsync spawns one Invoke proc
+// per request.
+func runSeriesShard(s series, sh runner.Shard) (*seriesShard, error) {
+	n := shardInvocations(s.Invocations, s.Shards, sh.Index)
+	out := &seriesShard{}
+	if s.Exact {
 		out.rec = stats.NewSample(int(n))
 	} else {
-		out.rec = sketch.New(opts.Alpha)
+		out.rec = sketch.New(s.Alpha)
 	}
 	if n == 0 {
 		return out, nil
 	}
 
-	e, err := newEnv(opts.Provider, sh.Seed)
+	e, err := newEnv(s.Provider, sh.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("scale shard %d: %w", sh.Index, err)
+		return nil, fmt.Errorf("%s shard %d: %w", s.name, sh.Index, err)
 	}
 	defer e.close()
 	c := e.cloud
 	if err := c.Deploy(cloud.FunctionSpec{
-		Name:     "scale",
+		Name:     s.name,
 		Runtime:  cloud.RuntimePython,
 		Method:   cloud.DeployZIP,
-		ExecTime: opts.ExecTime,
+		ExecTime: s.ExecTime,
 	}); err != nil {
-		return nil, fmt.Errorf("scale shard %d: %w", sh.Index, err)
+		return nil, fmt.Errorf("%s shard %d: %w", s.name, sh.Index, err)
 	}
 	c.SetLatencyRecorder(out.rec)
-	c.SetEngineMode(opts.Engine)
-
-	req := &cloud.Request{Fn: "scale"}
-	eng := e.eng
-	if opts.Engine == cloud.EngineProc {
-		// Proc form: one goroutine process per request, one for arrivals.
-		invoke := func(p *des.Proc) {
-			if _, err := c.Invoke(p, req); err != nil {
-				out.errors++
-			}
-		}
-		eng.Spawn("scale/arrivals", func(p *des.Proc) {
-			remaining := n
-			for remaining > 0 {
-				burst := uint64(opts.Burst)
-				if burst > remaining {
-					burst = remaining
-				}
-				for j := uint64(0); j < burst; j++ {
-					eng.Spawn("scale/req", invoke)
-				}
-				remaining -= burst
-				if remaining > 0 {
-					p.Sleep(opts.IAT)
-				}
-			}
-		})
-	} else {
-		// Callback form: the arrival loop is a self-rescheduling event
-		// callback and each request a callback chain — zero goroutine
-		// switches on the warm path. Event-for-event equivalent to the
-		// proc loop above: one event per arrival tick, one per request
-		// start, in the same scheduling sequence order.
-		done := func(_ *cloud.Response, err error) {
-			if err != nil {
-				out.errors++
-			}
-		}
-		remaining := n
-		var arrive func()
-		arrive = func() {
-			burst := uint64(opts.Burst)
-			if burst > remaining {
-				burst = remaining
-			}
-			for j := uint64(0); j < burst; j++ {
-				c.InvokeAsync(req, done)
-			}
-			remaining -= burst
-			if remaining > 0 {
-				eng.CallAfter(opts.IAT, arrive)
-			}
-		}
-		eng.Call(arrive)
+	c.SetEngineMode(s.Engine)
+	var tr *trace.Tracer
+	if s.trace != nil {
+		// The tracer's sampling stream is derived from the same shard seed
+		// as the cloud's streams but under its own name, so the traced
+		// run's other draws are identical to the untraced run's.
+		tr = trace.New(*s.trace, dist.NewStreams(sh.Seed).Stream(s.Provider+"/trace"))
+		c.SetTracer(tr)
 	}
+
+	req := &cloud.Request{Fn: s.name}
+	done := func(_ *cloud.Response, err error) {
+		if err != nil {
+			out.errors++
+		}
+	}
+	eng := e.eng
+	burstArrivals(eng, n, s.Burst, s.IAT, func() { c.InvokeAsync(req, done) })
 	eng.Run(0)
 
 	out.colds = c.Metrics().ColdServed
 	out.virtual = eng.Now()
+	if tr != nil {
+		out.dropped = tr.Dropped()
+		out.traces = tr.Drain()
+		for i := range out.traces {
+			out.traces[i].Shard = sh.Index
+			if err := out.traces[i].Validate(); err != nil {
+				return nil, fmt.Errorf("%s shard %d: %w", s.name, sh.Index, err)
+			}
+		}
+	}
 	if got := out.rec.Count() + out.errors; got != n {
-		return nil, fmt.Errorf("scale shard %d: %d of %d invocations unaccounted for",
-			sh.Index, n-got, n)
+		return nil, fmt.Errorf("%s shard %d: %d of %d invocations unaccounted for",
+			s.name, sh.Index, n-got, n)
 	}
 	return out, nil
 }

@@ -3,10 +3,12 @@ package experiments
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/stellar-repro/stellar/internal/des"
 	"github.com/stellar-repro/stellar/internal/stats"
 )
 
@@ -146,5 +148,47 @@ func TestScaleReportOutput(t *testing.T) {
 	last := lines[len(lines)-1]
 	if !strings.HasSuffix(last, "1.000000") {
 		t.Fatalf("CDF does not end at 1.0: %q", last)
+	}
+}
+
+// TestBurstArrivals pins the shared arrival clock: ceil(n/burst) ticks at
+// k·IAT from the start instant, a full burst on every tick but the last,
+// which carries the remainder, and nothing left scheduled once the run
+// drains.
+func TestBurstArrivals(t *testing.T) {
+	const iat = 30 * time.Millisecond
+	for _, tc := range []struct {
+		n     uint64
+		burst int
+		want  []int // fires per tick
+	}{
+		{7, 3, []int{3, 3, 1}},
+		{2, 5, []int{2}},
+		{6, 2, []int{2, 2, 2}},
+		{1, 1, []int{1}},
+	} {
+		eng := des.NewEngine()
+		var at []time.Duration
+		burstArrivals(eng, tc.n, tc.burst, iat, func() { at = append(at, eng.Now()) })
+		eng.Run(0)
+
+		var got []int
+		for i, ts := range at {
+			k := len(got)
+			if i == 0 || ts != at[i-1] {
+				got = append(got, 0)
+				k++
+				if want := time.Duration(k-1) * iat; ts != want {
+					t.Errorf("n=%d burst=%d: tick %d at %v, want %v", tc.n, tc.burst, k-1, ts, want)
+				}
+			}
+			got[k-1]++
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("n=%d burst=%d: fires per tick %v, want %v", tc.n, tc.burst, got, tc.want)
+		}
+		if p := eng.PendingEvents(); p != 0 {
+			t.Errorf("n=%d burst=%d: %d events still pending after Run", tc.n, tc.burst, p)
+		}
 	}
 }

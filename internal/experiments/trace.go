@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"github.com/stellar-repro/stellar/internal/cloud"
-	"github.com/stellar-repro/stellar/internal/des"
-	"github.com/stellar-repro/stellar/internal/dist"
 	"github.com/stellar-repro/stellar/internal/runner"
 	"github.com/stellar-repro/stellar/internal/stats"
 	"github.com/stellar-repro/stellar/internal/trace"
@@ -40,44 +38,12 @@ type TraceOptions struct {
 	ExecTime time.Duration
 	// Trace configures the per-shard sampler (rate, slowest-K, ring bound).
 	Trace trace.Config
-	// Engine selects the invocation execution form. The default (auto)
-	// runs arrivals and warm invocations as engine callbacks that record
-	// their spans in place, so a traced series measures the same code path
-	// as an untraced one; proc forces the goroutine-per-request form.
-	// Outputs are byte-identical either way (TestEngineFormsEquivalent).
+	// Engine selects the invocation execution form, as for ScaleOptions: a
+	// traced series is the scale series with a tracer installed, and the
+	// callback form records its spans in place, so tracing never changes
+	// the code path it measures. Outputs are byte-identical across forms
+	// (TestEngineFormsEquivalent).
 	Engine cloud.EngineMode
-}
-
-func (o TraceOptions) normalized() TraceOptions {
-	if o.Shards == 0 {
-		o.Shards = 8
-	}
-	if o.IAT == 0 {
-		o.IAT = 100 * time.Millisecond
-	}
-	if o.Burst == 0 {
-		o.Burst = 1
-	}
-	return o
-}
-
-func (o TraceOptions) validate() error {
-	if o.Provider == "" {
-		return fmt.Errorf("trace: provider is required")
-	}
-	if o.Invocations == 0 {
-		return fmt.Errorf("trace: need at least one invocation")
-	}
-	if err := validateSeries("trace", o.Shards, o.IAT, o.Burst, o.ExecTime); err != nil {
-		return err
-	}
-	if uint64(o.Shards) > o.Invocations {
-		return fmt.Errorf("trace: %d shards for %d invocations", o.Shards, o.Invocations)
-	}
-	if o.Trace.SampleRate == 0 && o.Trace.SlowestK == 0 {
-		return fmt.Errorf("trace: sampler disabled (set a sample rate or slowest-K)")
-	}
-	return o.Trace.Validate()
 }
 
 // TraceResult is the merged outcome of a traced series.
@@ -110,161 +76,46 @@ func (r *TraceResult) Attribution(quantiles []float64) *trace.Attribution {
 	return trace.Attribute(r.Traces, quantiles)
 }
 
-// traceShard is one shard's outcome.
-type traceShard struct {
-	traces  []trace.RequestRecord
-	lats    *stats.Sample
-	colds   uint64
-	errors  uint64
-	dropped uint64
-	virtual time.Duration
-}
-
-// RunTrace drives one traced series: Shards independent simulated clouds,
-// each with its own sampling tracer, merged in shard-index order so results
-// are byte-identical at any Workers setting. Every retained trace is checked
-// against the tiling invariant (top-level spans sum exactly to the observed
-// latency) before the result is returned.
+// RunTrace drives one traced series: the scale series with exact recording
+// and a sampling tracer installed on every shard's cloud, merged in
+// shard-index order so results are byte-identical at any Workers setting.
+// Every retained trace is checked against the tiling invariant (top-level
+// spans sum exactly to the observed latency) before the result is returned.
 func RunTrace(opts TraceOptions) (*TraceResult, error) {
-	opts = opts.normalized()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	res := &TraceResult{
-		Provider:    opts.Provider,
-		Invocations: opts.Invocations,
-		Shards:      opts.Shards,
-		Latencies:   stats.NewSample(int(opts.Invocations)),
-	}
-	pool := runner.Pool{Workers: opts.Workers, Seed: opts.Seed}
-	_, err := runner.MapReduce(pool, opts.Shards, res,
-		func(sh runner.Shard) (*traceShard, error) {
-			return runTraceShard(opts, sh)
+	res, err := runSeries(series{
+		ScaleOptions: ScaleOptions{
+			Provider:    opts.Provider,
+			Invocations: opts.Invocations,
+			Shards:      opts.Shards,
+			Workers:     opts.Workers,
+			Seed:        opts.Seed,
+			IAT:         opts.IAT,
+			Burst:       opts.Burst,
+			ExecTime:    opts.ExecTime,
+			Exact:       true,
+			Engine:      opts.Engine,
 		},
-		mergeTraceShard)
+		name:  "trace",
+		trace: &opts.Trace,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if res.Latencies.Count() == 0 {
-		return nil, fmt.Errorf("trace: all %d invocations failed", opts.Invocations)
-	}
-	if len(res.Traces) == 0 {
+	if len(res.traces) == 0 {
 		return nil, fmt.Errorf("trace: sampler retained no traces (rate %v over %d invocations)",
 			opts.Trace.SampleRate, opts.Invocations)
 	}
-	return res, nil
-}
-
-// mergeTraceShard folds one shard into the accumulated result.
-func mergeTraceShard(res *TraceResult, sh *traceShard) (*TraceResult, error) {
-	res.Colds += sh.colds
-	res.Errors += sh.errors
-	res.Dropped += sh.dropped
-	res.Traces = append(res.Traces, sh.traces...)
-	res.Latencies.AddAll(sh.lats.Values())
-	if sh.virtual > res.VirtualTime {
-		res.VirtualTime = sh.virtual
-	}
-	return res, nil
-}
-
-// runTraceShard runs one shard's arrivals with a tracer installed on the
-// cloud's tracer seam.
-func runTraceShard(opts TraceOptions, sh runner.Shard) (*traceShard, error) {
-	n := shardInvocations(opts.Invocations, opts.Shards, sh.Index)
-	out := &traceShard{lats: stats.NewSample(int(n))}
-	if n == 0 {
-		return out, nil
-	}
-
-	e, err := newEnv(opts.Provider, sh.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("trace shard %d: %w", sh.Index, err)
-	}
-	defer e.close()
-	c := e.cloud
-	if err := c.Deploy(cloud.FunctionSpec{
-		Name:     "trace",
-		Runtime:  cloud.RuntimePython,
-		Method:   cloud.DeployZIP,
-		ExecTime: opts.ExecTime,
-	}); err != nil {
-		return nil, fmt.Errorf("trace shard %d: %w", sh.Index, err)
-	}
-	c.SetLatencyRecorder(out.lats)
-	// The tracer's sampling stream is derived from the same shard seed as
-	// the cloud's streams but under its own name, so the traced run's other
-	// draws are identical to the untraced run's.
-	tr := trace.New(opts.Trace, dist.NewStreams(sh.Seed).Stream(opts.Provider+"/trace"))
-	c.SetTracer(tr)
-
-	c.SetEngineMode(opts.Engine)
-	req := &cloud.Request{Fn: "trace"}
-	eng := e.eng
-	if opts.Engine == cloud.EngineProc {
-		invoke := func(p *des.Proc) {
-			if _, err := c.Invoke(p, req); err != nil {
-				out.errors++
-			}
-		}
-		eng.Spawn("trace/arrivals", func(p *des.Proc) {
-			remaining := n
-			for remaining > 0 {
-				burst := uint64(opts.Burst)
-				if burst > remaining {
-					burst = remaining
-				}
-				for j := uint64(0); j < burst; j++ {
-					eng.Spawn("trace/req", invoke)
-				}
-				remaining -= burst
-				if remaining > 0 {
-					p.Sleep(opts.IAT)
-				}
-			}
-		})
-	} else {
-		// Callback-form arrivals: eligible warm requests run as callback
-		// chains that emit the same spans Invoke would.
-		done := func(_ *cloud.Response, err error) {
-			if err != nil {
-				out.errors++
-			}
-		}
-		remaining := n
-		var arrive func()
-		arrive = func() {
-			burst := uint64(opts.Burst)
-			if burst > remaining {
-				burst = remaining
-			}
-			for j := uint64(0); j < burst; j++ {
-				c.InvokeAsync(req, done)
-			}
-			remaining -= burst
-			if remaining > 0 {
-				eng.CallAfter(opts.IAT, arrive)
-			}
-		}
-		eng.Call(arrive)
-	}
-	eng.Run(0)
-
-	out.colds = c.Metrics().ColdServed
-	out.virtual = eng.Now()
-	out.dropped = tr.Dropped()
-	out.traces = tr.Drain()
-	for i := range out.traces {
-		out.traces[i].Shard = sh.Index
-		if err := out.traces[i].Validate(); err != nil {
-			return nil, fmt.Errorf("trace shard %d: %w", sh.Index, err)
-		}
-	}
-	if got := uint64(out.lats.Count()) + out.errors; got != n {
-		return nil, fmt.Errorf("trace shard %d: %d of %d invocations unaccounted for",
-			sh.Index, n-got, n)
-	}
-	return out, nil
+	return &TraceResult{
+		Provider:    res.Provider,
+		Invocations: res.Invocations,
+		Shards:      res.Shards,
+		Colds:       res.Colds,
+		Errors:      res.Errors,
+		Dropped:     res.dropped,
+		Traces:      res.traces,
+		Latencies:   res.Recorder.(*stats.Sample),
+		VirtualTime: res.VirtualTime,
+	}, nil
 }
 
 // WriteTraceReport renders the traced series outcome: headline metrics,

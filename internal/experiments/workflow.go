@@ -62,19 +62,16 @@ type WorkflowOptions struct {
 	TraceRing int
 	// Alpha is the per-edge sketch relative-accuracy target (0 = default).
 	Alpha float64
-	// Engine selects the invocation execution form; outputs are
-	// byte-identical across forms (TestEngineFormsEquivalent).
-	Engine cloud.EngineMode
 }
 
 func (o WorkflowOptions) normalized() WorkflowOptions {
-	if o.Shards <= 0 {
+	if o.Shards == 0 {
 		o.Shards = 8
 	}
-	if o.IAT <= 0 {
+	if o.IAT == 0 {
 		o.IAT = 100 * time.Millisecond
 	}
-	if o.Burst <= 0 {
+	if o.Burst == 0 {
 		o.Burst = 1
 	}
 	return o
@@ -87,10 +84,13 @@ func (o WorkflowOptions) validate() error {
 	if o.Workflows == 0 {
 		return fmt.Errorf("workflow: need at least one workflow")
 	}
+	if err := validateSeries("workflow", o.Shards, o.IAT, o.Burst, o.ExecTime); err != nil {
+		return err
+	}
 	if uint64(o.Shards) > o.Workflows {
 		return fmt.Errorf("workflow: %d shards for %d workflows", o.Shards, o.Workflows)
 	}
-	if o.Sample < 0 || o.Sample > 1 {
+	if !(o.Sample >= 0 && o.Sample <= 1) {
 		return fmt.Errorf("workflow: sample rate %v out of [0,1]", o.Sample)
 	}
 	_, err := o.dag()
@@ -335,7 +335,6 @@ func runWorkflowShard(opts WorkflowOptions, sh runner.Shard) (*workflowShard, er
 		}
 	}
 	c.SetLatencyRecorder(out.clients)
-	c.SetEngineMode(opts.Engine)
 
 	// The tracer is handed to the executor, not installed on the cloud: only
 	// workflow spans are recorded, and the sampling decision (one draw per
@@ -378,45 +377,10 @@ func runWorkflowShard(opts WorkflowOptions, sh runner.Shard) (*workflowShard, er
 			}
 		}
 	}
+	// Only the arrival clock is a callback: each workflow instance needs a
+	// proc, because sync edges block inside serving windows.
 	eng := e.eng
-	if opts.Engine == cloud.EngineProc {
-		eng.Spawn("workflow/arrivals", func(p *des.Proc) {
-			remaining := n
-			for remaining > 0 {
-				burst := uint64(opts.Burst)
-				if burst > remaining {
-					burst = remaining
-				}
-				for j := uint64(0); j < burst; j++ {
-					eng.Spawn("workflow/run", runOne)
-				}
-				remaining -= burst
-				if remaining > 0 {
-					p.Sleep(opts.IAT)
-				}
-			}
-		})
-	} else {
-		// Callback-form arrivals: the workflow instance itself still needs a
-		// proc (sync edges block inside serving windows), so only the arrival
-		// clock changes shape — outputs stay byte-identical to the proc form.
-		remaining := n
-		var arrive func()
-		arrive = func() {
-			burst := uint64(opts.Burst)
-			if burst > remaining {
-				burst = remaining
-			}
-			for j := uint64(0); j < burst; j++ {
-				eng.Spawn("workflow/run", runOne)
-			}
-			remaining -= burst
-			if remaining > 0 {
-				eng.CallAfter(opts.IAT, arrive)
-			}
-		}
-		eng.Call(arrive)
-	}
+	burstArrivals(eng, n, opts.Burst, opts.IAT, func() { eng.Spawn("workflow/run", runOne) })
 	eng.Run(0)
 
 	m := ex.Metrics()

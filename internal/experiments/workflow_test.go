@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,7 +21,7 @@ import (
 // chainDiffOpts is the shared cell for the workflow-vs-hand-rolled-chain
 // differential: a 2-node chain, fault-free, untraced (the hand-rolled chain
 // never samples workflow spans).
-func chainDiffOpts(engine cloud.EngineMode, workers int, transfer workflow.Transfer) WorkflowOptions {
+func chainDiffOpts(workers int, transfer workflow.Transfer) WorkflowOptions {
 	return WorkflowOptions{
 		Provider:     "aws",
 		Topology:     "chain-2",
@@ -34,7 +35,6 @@ func chainDiffOpts(engine cloud.EngineMode, workers int, transfer workflow.Trans
 		Transfer:     transfer,
 		PayloadBytes: 64 << 10,
 		ExecTime:     2 * time.Millisecond,
-		Engine:       engine,
 	}
 }
 
@@ -46,7 +46,7 @@ type chainShard struct {
 }
 
 // runHandRolledChainShard mirrors runWorkflowShard for the static chain: the
-// same arrival loop drives external invocations of a producer whose
+// same burst clock drives external invocations of a producer whose
 // FunctionSpec.Chain — not a workflow continuation — invokes the consumer.
 func runHandRolledChainShard(opts WorkflowOptions, sh runner.Shard) (*chainShard, error) {
 	n := shardInvocations(opts.Workflows, opts.Shards, sh.Index)
@@ -82,47 +82,12 @@ func runHandRolledChainShard(opts WorkflowOptions, sh runner.Shard) (*chainShard
 		return nil, err
 	}
 	c.SetLatencyRecorder(out.clients)
-	c.SetEngineMode(opts.Engine)
 
 	runOne := func(p *des.Proc) {
 		_, _ = c.Invoke(p, &cloud.Request{Fn: "n0"})
 	}
 	eng := e.eng
-	if opts.Engine == cloud.EngineProc {
-		eng.Spawn("workflow/arrivals", func(p *des.Proc) {
-			remaining := n
-			for remaining > 0 {
-				burst := uint64(opts.Burst)
-				if burst > remaining {
-					burst = remaining
-				}
-				for j := uint64(0); j < burst; j++ {
-					eng.Spawn("workflow/run", runOne)
-				}
-				remaining -= burst
-				if remaining > 0 {
-					p.Sleep(opts.IAT)
-				}
-			}
-		})
-	} else {
-		remaining := n
-		var arrive func()
-		arrive = func() {
-			burst := uint64(opts.Burst)
-			if burst > remaining {
-				burst = remaining
-			}
-			for j := uint64(0); j < burst; j++ {
-				eng.Spawn("workflow/run", runOne)
-			}
-			remaining -= burst
-			if remaining > 0 {
-				eng.CallAfter(opts.IAT, arrive)
-			}
-		}
-		eng.Call(arrive)
-	}
+	burstArrivals(eng, n, opts.Burst, opts.IAT, func() { eng.Spawn("workflow/run", runOne) })
 	eng.Run(0)
 	out.metrics = c.Metrics()
 	return out, nil
@@ -132,64 +97,62 @@ func runHandRolledChainShard(opts WorkflowOptions, sh runner.Shard) (*chainShard
 // truth: a chain-2 workflow must be byte-identical — every client-observed
 // latency, the merged latency sketch, and the full cloud counter set — to
 // the hand-rolled two-function chain it generalizes, for both transfer
-// modes, both engine forms, and any worker count. The continuation seam
-// runs exactly where FunctionSpec.Chain's block runs, with the same
-// operation order; any drift between the two paths lands here.
+// modes and any worker count. The continuation seam runs exactly where
+// FunctionSpec.Chain's block runs, with the same operation order; any drift
+// between the two paths lands here.
 func TestWorkflowChainMatchesHandRolledChain(t *testing.T) {
 	for _, transfer := range []workflow.Transfer{workflow.TransferInline, workflow.TransferBlobstore} {
-		for _, engine := range engineForms {
-			for _, workers := range []int{1, 8} {
-				transfer, engine, workers := transfer, engine, workers
-				t.Run(fmt.Sprintf("%s/%v/workers=%d", transfer, engine, workers), func(t *testing.T) {
-					t.Parallel()
-					opts := chainDiffOpts(engine, workers, transfer)
-					res, err := RunWorkflow(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Failed != 0 {
-						t.Fatalf("%d workflow instances failed in a fault-free run", res.Failed)
-					}
+		for _, workers := range []int{1, 8} {
+			transfer, workers := transfer, workers
+			t.Run(fmt.Sprintf("%s/workers=%d", transfer, workers), func(t *testing.T) {
+				t.Parallel()
+				opts := chainDiffOpts(workers, transfer)
+				res, err := RunWorkflow(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Failed != 0 {
+					t.Fatalf("%d workflow instances failed in a fault-free run", res.Failed)
+				}
 
-					type baseline struct {
-						clients *stats.Sample
-						metrics []cloud.Metrics
-					}
-					base := &baseline{clients: stats.NewSample(int(opts.Workflows))}
-					pool := runner.Pool{Workers: opts.Workers, Seed: opts.Seed}
-					_, err = runner.MapReduce(pool, opts.Shards, base,
-						func(sh runner.Shard) (*chainShard, error) {
-							return runHandRolledChainShard(opts, sh)
-						},
-						func(acc *baseline, sh *chainShard) (*baseline, error) {
-							acc.clients.AddAll(sh.clients.Values())
-							acc.metrics = append(acc.metrics, sh.metrics)
-							return acc, nil
-						})
-					if err != nil {
-						t.Fatal(err)
-					}
+				type baseline struct {
+					clients *stats.Sample
+					metrics []cloud.Metrics
+				}
+				base := &baseline{clients: stats.NewSample(int(opts.Workflows))}
+				pool := runner.Pool{Workers: opts.Workers, Seed: opts.Seed}
+				_, err = runner.MapReduce(pool, opts.Shards, base,
+					func(sh runner.Shard) (*chainShard, error) {
+						return runHandRolledChainShard(opts, sh)
+					},
+					func(acc *baseline, sh *chainShard) (*baseline, error) {
+						acc.clients.AddAll(sh.clients.Values())
+						acc.metrics = append(acc.metrics, sh.metrics)
+						return acc, nil
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
 
-					values := base.clients.Values()
-					if got := res.ClientLats.Values(); !reflect.DeepEqual(got, values) {
-						t.Fatalf("client latencies diverged: workflow %d values, chain %d values (first workflow=%v chain=%v)",
-							len(got), len(values), head(got), head(values))
-					}
-					if !reflect.DeepEqual(res.CloudMetrics, base.metrics) {
-						t.Fatalf("cloud metrics diverged:\nworkflow: %+v\nchain:    %+v", res.CloudMetrics, base.metrics)
-					}
-					wfSketch, chSketch := sketch.New(0), sketch.New(0)
-					for _, v := range res.ClientLats.Values() {
-						wfSketch.Add(v)
-					}
-					for _, v := range values {
-						chSketch.Add(v)
-					}
-					if !reflect.DeepEqual(wfSketch.Record(), chSketch.Record()) {
-						t.Fatal("latency sketches diverged despite identical values")
-					}
-				})
-			}
+				values := base.clients.Values()
+				if got := res.ClientLats.Values(); !reflect.DeepEqual(got, values) {
+					t.Fatalf("client latencies diverged: workflow %d values, chain %d values (first workflow=%v chain=%v)",
+						len(got), len(values), head(got), head(values))
+				}
+				if !reflect.DeepEqual(res.CloudMetrics, base.metrics) {
+					t.Fatalf("cloud metrics diverged:\nworkflow: %+v\nchain:    %+v", res.CloudMetrics, base.metrics)
+				}
+				wfSketch, chSketch := sketch.New(0), sketch.New(0)
+				for _, v := range res.ClientLats.Values() {
+					wfSketch.Add(v)
+				}
+				for _, v := range values {
+					chSketch.Add(v)
+				}
+				if !reflect.DeepEqual(wfSketch.Record(), chSketch.Record()) {
+					t.Fatal("latency sketches diverged despite identical values")
+				}
+			})
 		}
 	}
 }
@@ -202,9 +165,9 @@ func head(v []time.Duration) time.Duration {
 }
 
 // workflowGoldenOpts is the fixed cell pinned by the preset fingerprints
-// and reused by the worker-invariance and engine-form cells: traced, with a
+// and reused by the worker-invariance test: traced, with a
 // join-heavy default topology swap-in per test.
-func workflowGoldenOpts(topology string, transfer workflow.Transfer, engine cloud.EngineMode, workers int) WorkflowOptions {
+func workflowGoldenOpts(topology string, transfer workflow.Transfer, workers int) WorkflowOptions {
 	return WorkflowOptions{
 		Provider:     "aws",
 		Topology:     topology,
@@ -219,7 +182,6 @@ func workflowGoldenOpts(topology string, transfer workflow.Transfer, engine clou
 		PayloadBytes: 64 << 10,
 		ExecTime:     3 * time.Millisecond,
 		Sample:       0.5,
-		Engine:       engine,
 	}
 }
 
@@ -234,6 +196,36 @@ func renderWorkflow(t *testing.T, opts WorkflowOptions) string {
 	return b.String()
 }
 
+// TestWorkflowOptionsValidation: nonsense configurations fail fast, and a
+// negative arrival-shape option or a NaN sample rate is an error rather
+// than a silent default.
+func TestWorkflowOptionsValidation(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*WorkflowOptions)
+	}{
+		{"missing provider", func(o *WorkflowOptions) { o.Provider = "" }},
+		{"zero workflows", func(o *WorkflowOptions) { o.Workflows = 0 }},
+		{"more shards than workflows", func(o *WorkflowOptions) { o.Workflows = 2; o.Shards = 4 }},
+		{"negative shards", func(o *WorkflowOptions) { o.Shards = -3 }},
+		{"negative iat", func(o *WorkflowOptions) { o.IAT = -5 * time.Millisecond }},
+		{"negative burst", func(o *WorkflowOptions) { o.Burst = -5 }},
+		{"negative exec", func(o *WorkflowOptions) { o.ExecTime = -time.Second }},
+		{"negative sample", func(o *WorkflowOptions) { o.Sample = -0.1 }},
+		{"sample above one", func(o *WorkflowOptions) { o.Sample = 1.5 }},
+		{"NaN sample", func(o *WorkflowOptions) { o.Sample = math.NaN() }},
+		{"unknown topology", func(o *WorkflowOptions) { o.Topology = "nonesuch" }},
+		{"unknown provider", func(o *WorkflowOptions) { o.Provider = "nonesuch" }},
+	}
+	for _, tc := range cases {
+		opts := workflowGoldenOpts("chain-2", workflow.TransferInline, 1)
+		tc.mutate(&opts)
+		if _, err := RunWorkflow(opts); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
 // TestWorkflowWorkerInvariance pins the acceptance criterion directly: the
 // fanout-8 series — critical paths, per-edge transfer tails, and the span
 // attribution report — renders byte-identically at Workers=1 and Workers=8,
@@ -243,8 +235,8 @@ func TestWorkflowWorkerInvariance(t *testing.T) {
 		transfer := transfer
 		t.Run(transfer.String(), func(t *testing.T) {
 			t.Parallel()
-			serial := renderWorkflow(t, workflowGoldenOpts("fanout-8", transfer, cloud.EngineAuto, 1))
-			parallel := renderWorkflow(t, workflowGoldenOpts("fanout-8", transfer, cloud.EngineAuto, 8))
+			serial := renderWorkflow(t, workflowGoldenOpts("fanout-8", transfer, 1))
+			parallel := renderWorkflow(t, workflowGoldenOpts("fanout-8", transfer, 8))
 			if serial != parallel {
 				t.Errorf("fanout-8 %s: Workers=1 and Workers=8 diverged\n--- serial ---\n%s--- parallel ---\n%s",
 					transfer, serial, parallel)
@@ -267,7 +259,7 @@ func TestGoldenWorkflowFingerprints(t *testing.T) {
 		t.Run(preset, func(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join("testdata", "golden", "workflow-"+preset+".fingerprint")
-			fp := renderWorkflow(t, workflowGoldenOpts(preset, workflow.TransferBlobstore, cloud.EngineAuto, 1))
+			fp := renderWorkflow(t, workflowGoldenOpts(preset, workflow.TransferBlobstore, 1))
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -286,7 +278,7 @@ func TestGoldenWorkflowFingerprints(t *testing.T) {
 				t.Errorf("%s: Workers=1 output diverged from the seed-engine fixture\n--- got ---\n%s--- want ---\n%s",
 					preset, fp, want)
 			}
-			if fp8 := renderWorkflow(t, workflowGoldenOpts(preset, workflow.TransferBlobstore, cloud.EngineAuto, 8)); fp8 != string(want) {
+			if fp8 := renderWorkflow(t, workflowGoldenOpts(preset, workflow.TransferBlobstore, 8)); fp8 != string(want) {
 				t.Errorf("%s: Workers=8 output diverged from the seed-engine fixture\n--- got ---\n%s--- want ---\n%s",
 					preset, fp8, want)
 			}
