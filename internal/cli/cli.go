@@ -209,9 +209,11 @@ func cmdBench(args []string, stdout io.Writer) (err error) {
 	timeline := fs.Duration("timeline", 0, "print windowed statistics at this window width")
 	name := fs.String("name", "bench", "run name used in saved results")
 	breakdown := fs.Bool("breakdown", false, "print per-component latency breakdown")
-	engine := addEngineFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *timeline < 0 {
+		return fmt.Errorf("bench: negative -timeline %v", *timeline)
 	}
 	stopProf, err := prof.start()
 	if err != nil {
@@ -229,16 +231,11 @@ func cmdBench(args []string, stdout io.Writer) (err error) {
 		}
 		*provider = name
 	}
-	mode, err := engine.mode()
-	if err != nil {
-		return err
-	}
 	env, err := experiments.NewEnv(*provider, *seed)
 	if err != nil {
 		return err
 	}
 	defer env.Close()
-	env.Cloud().SetEngineMode(mode)
 	out, err := env.Deployer().Deploy(&core.StaticConfig{
 		Provider: *provider,
 		Functions: []core.FunctionConfig{{
@@ -323,12 +320,7 @@ func cmdExperiment(args []string, stdout io.Writer) (err error) {
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "concurrent series per experiment (0 = all CPUs, 1 = serial)")
 	csvDir := fs.String("csv-dir", "", "write each figure's series as CSV into this directory")
-	engine := addEngineFlag(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	mode, err := engine.mode()
-	if err != nil {
 		return err
 	}
 	stopProf, err := prof.start()
@@ -340,6 +332,6 @@ func cmdExperiment(args []string, stdout io.Writer) (err error) {
 			err = perr
 		}
 	}()
-	opts := experiments.Options{Seed: *seed, Samples: *samples, Replicas: *replicas, Workers: *workers, CSVDir: *csvDir, Engine: mode}
+	opts := experiments.Options{Seed: *seed, Samples: *samples, Replicas: *replicas, Workers: *workers, CSVDir: *csvDir}
 	return experiments.Report(stdout, *id, opts)
 }

@@ -329,6 +329,30 @@ func TestBenchTimelineFlag(t *testing.T) {
 			t.Errorf("timeline output missing %q", want)
 		}
 	}
+	// A negative window is rejected before the run instead of silently
+	// dropping the timeline.
+	code, out, errOut = run(t, "bench", "-provider", "aws", "-samples", "40", "-timeline", "-1s")
+	if code != 1 || !strings.Contains(errOut, "negative -timeline") || strings.Contains(out, "median") {
+		t.Fatalf("negative -timeline: code=%d out=%q err=%q", code, out, errOut)
+	}
+}
+
+// TestBenchRejectsNegativeSizes: negative memory and image sizes fail the
+// deployment instead of running with provider defaults.
+func TestBenchRejectsNegativeSizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-memory", "-5"},
+		{"-extra-image", "-999999999999"},
+	} {
+		save := filepath.Join(t.TempDir(), "run.json")
+		code, _, errOut := run(t, append([]string{"bench", "-samples", "10", "-save", save}, args...)...)
+		if code != 1 || !strings.Contains(errOut, "negative") {
+			t.Errorf("%v: code=%d err=%q", args, code, errOut)
+		}
+		if _, err := os.Stat(save); err == nil {
+			t.Errorf("%v: run saved despite the bad spec", args)
+		}
+	}
 }
 
 func TestAzTraceCommand(t *testing.T) {

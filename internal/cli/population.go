@@ -22,7 +22,6 @@ type populationFlags struct {
 	slack, iatLo, iatHi    *time.Duration
 	alpha                  *float64
 	maxConc                *int
-	engine                 engineFlag
 	jsonPath, csvPath      *string
 }
 
@@ -43,7 +42,6 @@ func addPopulationFlags(fs *flag.FlagSet, tenants int, duration time.Duration) *
 		iatHi:        fs.Duration("iat-hi", time.Minute, "upper bound of per-tenant mean inter-arrival time"),
 		alpha:        fs.Float64("alpha", 0.02, "per-tenant latency sketch relative accuracy"),
 		maxConc:      fs.Int("max-concurrency", 16, "per-tenant instance cap (-1 = uncapped)"),
-		engine:       addEngineFlag(fs),
 		jsonPath:     fs.String("json", "", "write the sweep as JSON to this file (\"-\" = stdout)"),
 		csvPath:      fs.String("csv", "", "write the sweep as CSV to this file (\"-\" = stdout)"),
 	}
@@ -59,10 +57,6 @@ func (f *populationFlags) options() (experiments.CostOptions, error) {
 		}
 		*f.provider = loaded
 	}
-	mode, err := f.engine.mode()
-	if err != nil {
-		return experiments.CostOptions{}, err
-	}
 	return experiments.CostOptions{
 		Provider:       *f.provider,
 		Tenants:        *f.tenants,
@@ -75,7 +69,6 @@ func (f *populationFlags) options() (experiments.CostOptions, error) {
 		MeanIATHi:      *f.iatHi,
 		Alpha:          *f.alpha,
 		MaxConcurrency: *f.maxConc,
-		Engine:         mode,
 	}, nil
 }
 

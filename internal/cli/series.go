@@ -9,15 +9,14 @@ import (
 )
 
 // seriesFlags are the flags cmdScale and cmdTrace share: the provider, the
-// burst-clock series shape and its sharding, the execution form, and the
-// saved run's name (defaulting to the command's name).
+// burst-clock series shape and its sharding, and the saved run's name
+// (defaulting to the command's name).
 type seriesFlags struct {
 	prof                   *profileFlags
 	provider, providerFile *string
 	invocations            *uint64
 	shards, workers, burst *int
 	iat, exec              *time.Duration
-	engine                 engineFlag
 	seed                   *int64
 	name                   *string
 }
@@ -35,7 +34,6 @@ func addSeriesFlags(fs *flag.FlagSet, invocations uint64) *seriesFlags {
 		iat:          fs.Duration("iat", 100*time.Millisecond, "inter-arrival time between bursts within a shard"),
 		burst:        fs.Int("burst", 1, "requests per arrival step"),
 		exec:         fs.Duration("exec", 0, "function busy-spin time"),
-		engine:       addEngineFlag(fs),
 		seed:         fs.Int64("seed", 1, "random seed"),
 		name:         fs.String("name", fs.Name(), "run name used in saved results"),
 	}
@@ -51,10 +49,6 @@ func (f *seriesFlags) options() (experiments.ScaleOptions, error) {
 		}
 		*f.provider = loaded
 	}
-	mode, err := f.engine.mode()
-	if err != nil {
-		return experiments.ScaleOptions{}, err
-	}
 	return experiments.ScaleOptions{
 		Provider:    *f.provider,
 		Invocations: *f.invocations,
@@ -64,6 +58,5 @@ func (f *seriesFlags) options() (experiments.ScaleOptions, error) {
 		IAT:         *f.iat,
 		Burst:       *f.burst,
 		ExecTime:    *f.exec,
-		Engine:      mode,
 	}, nil
 }

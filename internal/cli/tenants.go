@@ -52,7 +52,6 @@ func cmdTenants(args []string, stdout io.Writer) (err error) {
 		Alpha:          c.Alpha,
 		MaxConcurrency: c.MaxConcurrency,
 		Top:            *top,
-		Engine:         c.Engine,
 	}
 	if opts.KeepAlives, err = parseDurations(*keepalives); err != nil {
 		return fmt.Errorf("tenants: -keepalives: %w", err)

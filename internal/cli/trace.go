@@ -56,7 +56,6 @@ func cmdTrace(args []string, stdout io.Writer) (err error) {
 			SlowestK:     *slowest,
 			RingCapacity: *ring,
 		},
-		Engine: o.Engine,
 	})
 	if err != nil {
 		return err

@@ -11,18 +11,20 @@ import (
 
 // This file is the callback execution form of the invocation pipeline: a
 // warm external request runs as a straight-line chain of engine event
-// callbacks with zero goroutine context switches, while Invoke's
-// goroutine-proc form remains the general path (chains, faults, retries,
-// workflow-owned spans). The two forms are event-for-event equivalent: every
-// p.Sleep(d) in Invoke maps to exactly one CallAfter(d, step) here, every
-// Signal fire/timeout to exactly one Call, and all side effects (RNG draws,
-// metrics, instance pool transitions, tracer spans) happen at the same
-// virtual instant and the same scheduling sequence position. That parity
-// is what makes the two forms byte-identical under any interleaving —
-// equal-timestamp events tie-break on sequence number, which decides the
+// callbacks with zero goroutine context switches. Invoke's goroutine-proc
+// form serves every request that is not callback-eligible (chains, faults,
+// retries, workflow-owned spans) and is the reference the cloud tests
+// compare this form against. The two forms are event-for-event equivalent:
+// every p.Sleep(d) in Invoke maps to exactly one CallAfter(d, step) here,
+// every Signal fire/timeout to exactly one Call, and all side effects (RNG
+// draws, metrics, instance pool transitions, tracer spans) happen at the
+// same virtual instant and the same scheduling sequence position. That
+// parity is what makes the two forms byte-identical under any interleaving
+// — equal-timestamp events tie-break on sequence number, which decides the
 // order concurrent requests draw from the shared ingress/instance RNG
-// streams — and it is pinned by TestEngineFormsEquivalent and
-// FuzzCallbackSchedule. Tracing rides along: each step marks the span its
+// streams — and it is pinned by TestInvokeAsyncMatchesInvoke,
+// FuzzCallbackSchedule and the proc-generated report goldens in
+// internal/experiments. Tracing rides along: each step marks the span its
 // predecessor's sleep covered, so a traced run measures the same code path
 // as an untraced one (TestInvokeAsyncTracedMatchesInvoke).
 
@@ -113,10 +115,10 @@ func (c *Cloud) putWarmCall(wc *warmCall) {
 }
 
 // callbackEligible reports whether a request can take the callback fast
-// path. Anything that needs the general machinery — chains, storage
-// payloads, fault injection, crash retries, a caller-owned span — falls
-// back to the proc form. An installed tracer does not: the callback steps
-// record the same spans Invoke does.
+// path; it alone picks InvokeAsync's execution form. Anything that needs the
+// general machinery — chains, storage payloads, fault injection, crash
+// retries, a caller-owned span — falls back to the proc form. An installed
+// tracer does not: the callback steps record the same spans Invoke does.
 func (c *Cloud) callbackEligible(req *Request, fn *Function) bool {
 	return !req.Internal &&
 		fn.spec.Chain == nil &&
@@ -129,18 +131,18 @@ func (c *Cloud) callbackEligible(req *Request, fn *Function) bool {
 // InvokeAsync executes one invocation and delivers the outcome to done
 // exactly once, at the virtual instant the response reaches the client.
 // The request begins at the current instant (like Spawn, execution starts
-// when the engine reaches it). Under EngineAuto, eligible
-// warm-path requests run as a callback chain with zero goroutine switches
-// and zero steady-state allocations; everything else — and every request
-// under EngineProc — runs the classic Invoke proc, so both forms produce
-// identical schedules (see TestEngineFormsEquivalent).
+// when the engine reaches it). Callback-eligible requests run as a callback
+// chain with zero goroutine switches and zero steady-state allocations;
+// every other request runs the Invoke proc. Both forms produce identical
+// schedules, and Invoke is the reference the cloud tests compare the
+// callback form against (see TestInvokeAsyncMatchesInvoke).
 //
 // The *Response passed to done is only valid for the duration of the call:
 // the fast path recycles it, and its Timestamps map is nil (intra-function
 // timestamps exist only for chains, which always take the proc form).
 func (c *Cloud) InvokeAsync(req *Request, done func(*Response, error)) {
 	fn, ok := c.functions[req.Fn]
-	if !ok || c.mode == EngineProc || !c.callbackEligible(req, fn) {
+	if !ok || !c.callbackEligible(req, fn) {
 		c.eng.Spawn("cloud/invoke", func(p *des.Proc) {
 			done(c.Invoke(p, req))
 		})

@@ -41,9 +41,29 @@ type sliceRecorder struct{ lats []time.Duration }
 
 func (r *sliceRecorder) Add(d time.Duration) { r.lats = append(r.lats, d) }
 
+// invokeProc runs one invocation in the proc form: a goroutine proc through
+// Invoke, delivering its outcome to done. It is the reference the callback
+// form is compared against — what InvokeAsync does for a request that is
+// not callback-eligible.
+func invokeProc(c *Cloud, req *Request, done func(*Response, error)) {
+	c.eng.Spawn("cloud/invoke", func(p *des.Proc) {
+		done(c.Invoke(p, req))
+	})
+}
+
+// invokeForms are the two execution forms the form tests run side by side,
+// named as their subtests: the proc reference and InvokeAsync's choice.
+var invokeForms = []struct {
+	name   string
+	invoke func(c *Cloud, req *Request, done func(*Response, error))
+}{
+	{"proc", invokeProc},
+	{"auto", (*Cloud).InvokeAsync},
+}
+
 // runForm drives n invocations in bursts against a fresh cloud, using the
-// proc form (Spawn+Invoke, exactly the scale experiment's arrival loop) or
-// the callback form (Call chain + InvokeAsync).
+// proc form (a proc arrival loop spawning invokeProc) or the callback form
+// (Call chain + InvokeAsync).
 func runForm(t *testing.T, cfg Config, callback bool, load formLoad) formTrace {
 	t.Helper()
 	n, burst, iat := load.n, load.burst, load.iat
@@ -66,14 +86,13 @@ func runForm(t *testing.T, cfg Config, callback bool, load formLoad) formTrace {
 	}
 	out := formTrace{}
 	req := &Request{Fn: "f"}
+	done := func(_ *Response, err error) {
+		if err != nil {
+			out.errs = append(out.errs, err.Error())
+		}
+	}
 
 	if callback {
-		c.SetEngineMode(EngineAuto)
-		done := func(_ *Response, err error) {
-			if err != nil {
-				out.errs = append(out.errs, err.Error())
-			}
-		}
 		remaining := n
 		var arrive func()
 		arrive = func() {
@@ -91,12 +110,6 @@ func runForm(t *testing.T, cfg Config, callback bool, load formLoad) formTrace {
 		}
 		eng.Call(arrive)
 	} else {
-		c.SetEngineMode(EngineProc)
-		invoke := func(p *des.Proc) {
-			if _, err := c.Invoke(p, req); err != nil {
-				out.errs = append(out.errs, err.Error())
-			}
-		}
 		eng.Spawn("arrivals", func(p *des.Proc) {
 			remaining := n
 			for remaining > 0 {
@@ -105,7 +118,7 @@ func runForm(t *testing.T, cfg Config, callback bool, load formLoad) formTrace {
 					b = remaining
 				}
 				for j := 0; j < b; j++ {
-					eng.Spawn("req", invoke)
+					invokeProc(c, req, done)
 				}
 				remaining -= b
 				if remaining > 0 {
@@ -367,7 +380,6 @@ func allocFreeCallbackChain(t *testing.T, tr *trace.Tracer) {
 	if tr != nil {
 		c.SetTracer(tr)
 	}
-	c.SetEngineMode(EngineAuto)
 	req := &Request{Fn: "f"}
 	done := func(_ *Response, err error) {
 		if err != nil {

@@ -167,7 +167,6 @@ func benchWarmInvokeCallback(b *testing.B, tr *trace.Tracer) {
 	if tr != nil {
 		c.SetTracer(tr)
 	}
-	c.SetEngineMode(EngineAuto)
 	req := &Request{Fn: "f"}
 	var remaining int
 	var done func(*Response, error)

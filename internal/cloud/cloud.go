@@ -135,10 +135,8 @@ type Cloud struct {
 	instanceSeq int
 	payloadSeq  int
 
-	// mode selects InvokeAsync's execution form (see engine_mode.go);
-	// wcFree is the callback-record free list behind its zero-alloc fast
-	// path (see asyncinvoke.go).
-	mode   EngineMode
+	// wcFree is the callback-record free list behind InvokeAsync's
+	// zero-alloc fast path (see asyncinvoke.go).
 	wcFree *warmCall
 
 	// instFree and fnFree recycle instance and function (tenant) records,
@@ -298,6 +296,12 @@ func (c *Cloud) Deploy(spec FunctionSpec) error {
 	}
 	if spec.MaxConcurrent < 0 {
 		return fmt.Errorf("cloud %s: function %q: negative MaxConcurrent", c.cfg.Name, spec.Name)
+	}
+	if spec.MemoryMB < 0 {
+		return fmt.Errorf("cloud %s: function %q: negative MemoryMB", c.cfg.Name, spec.Name)
+	}
+	if spec.BaseImageBytes < 0 || spec.ExtraImageBytes < 0 {
+		return fmt.Errorf("cloud %s: function %q: negative image size", c.cfg.Name, spec.Name)
 	}
 	base := spec.BaseImageBytes
 	if base == 0 {

@@ -213,15 +213,14 @@ func TestAutoscalerEvict(t *testing.T) {
 // forms: with MaxConcurrent=2, a 5-wide simultaneous burst admits 2 and
 // rejects 3 with ErrConcurrencyLimit.
 func TestConcurrencyLimit(t *testing.T) {
-	for _, mode := range []EngineMode{EngineProc, EngineAuto} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, form := range invokeForms {
+		t.Run(form.name, func(t *testing.T) {
 			eng, c := newTestCloud(t, testConfig())
-			c.SetEngineMode(mode)
 			deploy(t, c, FunctionSpec{Name: "f", ExecTime: 50 * time.Millisecond, MaxConcurrent: 2})
 			var oks, rejects, others int
 			for i := 0; i < 5; i++ {
 				eng.At(0, func() {
-					c.InvokeAsync(&Request{Fn: "f"}, func(_ *Response, err error) {
+					form.invoke(c, &Request{Fn: "f"}, func(_ *Response, err error) {
 						switch {
 						case err == nil:
 							oks++
@@ -267,17 +266,16 @@ func econFingerprint(c *Cloud, lats []time.Duration) string {
 }
 
 // TestEconFormsEquivalent extends the proc/callback equivalence contract to
-// the autoscaler control plane: the same bursty workload under EngineProc
-// and EngineAuto produces identical latencies, counters, and usage.
+// the autoscaler control plane: the same bursty workload in the proc form
+// and through InvokeAsync produces identical latencies, counters, and usage.
 func TestEconFormsEquivalent(t *testing.T) {
-	run := func(mode EngineMode) string {
+	run := func(invoke func(*Cloud, *Request, func(*Response, error))) string {
 		eng := des.NewEngine()
 		defer eng.Close()
 		c, err := New(eng, econConfig(true), dist.NewStreams(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetEngineMode(mode)
 		if err := c.Deploy(FunctionSpec{
 			Name: "f", Runtime: RuntimePython, Method: DeployZIP,
 			ExecTime: 8 * time.Millisecond, MaxConcurrent: 24,
@@ -291,7 +289,7 @@ func TestEconFormsEquivalent(t *testing.T) {
 				at := base + time.Duration(i)*5*time.Millisecond
 				eng.At(at, func() {
 					start := eng.Now()
-					c.InvokeAsync(&Request{Fn: "f"}, func(_ *Response, err error) {
+					invoke(c, &Request{Fn: "f"}, func(_ *Response, err error) {
 						if err == nil {
 							lats = append(lats, eng.Now()-start)
 						} else {
@@ -304,7 +302,7 @@ func TestEconFormsEquivalent(t *testing.T) {
 		eng.Run(0)
 		return econFingerprint(c, lats)
 	}
-	proc, callback := run(EngineProc), run(EngineAuto)
+	proc, callback := run(invokeProc), run((*Cloud).InvokeAsync)
 	if proc != callback {
 		t.Fatalf("forms diverge under autoscaler:\n proc:     %s\n callback: %s", proc, callback)
 	}

@@ -51,6 +51,16 @@ func TestDeployRejectsBadTenantOverrides(t *testing.T) {
 	if err == nil {
 		t.Error("negative MaxInstances accepted")
 	}
+	for _, spec := range []FunctionSpec{
+		{Name: "mem", MemoryMB: -5},
+		{Name: "base", BaseImageBytes: -1},
+		{Name: "extra", ExtraImageBytes: -999999999999},
+	} {
+		spec.Runtime, spec.Method = RuntimePython, DeployZIP
+		if err := c.Deploy(spec); err == nil {
+			t.Errorf("%s: negative size accepted: %+v", spec.Name, spec)
+		}
+	}
 }
 
 // TestMaxInstancesCap: a tenant capped at 2 instances never scales past the
@@ -93,13 +103,12 @@ func TestMaxInstancesCap(t *testing.T) {
 
 // TestFunctionRecorderIsolation: per-tenant recorders see only their own
 // tenant's successful external latencies, and the cloud-wide recorder sees
-// everything.
+// everything, in both execution forms.
 func TestFunctionRecorderIsolation(t *testing.T) {
-	for _, mode := range []EngineMode{EngineProc, EngineAuto} {
+	for _, form := range invokeForms {
 		eng, c := newTestCloud(t, testConfig())
 		deploy(t, c, FunctionSpec{Name: "a"})
 		deploy(t, c, FunctionSpec{Name: "b"})
-		c.SetEngineMode(mode)
 		recA, recB := stats.NewSample(8), stats.NewSample(8)
 		all := stats.NewSample(16)
 		if err := c.SetFunctionRecorder("a", recA); err != nil {
@@ -114,19 +123,20 @@ func TestFunctionRecorderIsolation(t *testing.T) {
 		}
 		for i, name := range []string{"a", "a", "b"} {
 			name := name
-			eng.Spawn("req", func(p *des.Proc) {
-				p.Sleep(time.Duration(i) * time.Second) // sequential: no contention
-				if _, err := c.Invoke(p, &Request{Fn: name}); err != nil {
-					t.Error(err)
-				}
+			eng.At(time.Duration(i)*time.Second, func() { // sequential: no contention
+				form.invoke(c, &Request{Fn: name}, func(_ *Response, err error) {
+					if err != nil {
+						t.Error(err)
+					}
+				})
 			})
 		}
 		eng.Run(0)
 		if recA.Len() != 2 || recB.Len() != 1 {
-			t.Fatalf("mode %v: recorder counts a=%d b=%d, want 2/1", mode, recA.Len(), recB.Len())
+			t.Fatalf("form %s: recorder counts a=%d b=%d, want 2/1", form.name, recA.Len(), recB.Len())
 		}
 		if all.Len() != 3 {
-			t.Fatalf("mode %v: cloud recorder count %d, want 3", mode, all.Len())
+			t.Fatalf("form %s: cloud recorder count %d, want 3", form.name, all.Len())
 		}
 	}
 }

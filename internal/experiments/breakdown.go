@@ -56,11 +56,11 @@ func BreakdownStudy(opts Options) (*BreakdownResult, error) {
 		var err error
 		switch c.scen {
 		case ScenarioWarm:
-			r, err = runBurst(c.prov, sh.Seed, opts.Engine, BurstShortIAT, 1, opts.Samples, 0)
+			r, err = runBurst(c.prov, sh.Seed, BurstShortIAT, 1, opts.Samples, 0)
 		case ScenarioCold:
-			r, err = measure(c.prov, sh.Seed, opts.Engine, pythonFn("cold", opts.Replicas), coldRC(c.prov, opts))
+			r, err = measure(c.prov, sh.Seed, pythonFn("cold", opts.Replicas), coldRC(c.prov, opts))
 		case ScenarioBurstCold:
-			r, err = runBurst(c.prov, sh.Seed, opts.Engine, BurstLongIAT, 100, burstSamples(opts, 100), 0)
+			r, err = runBurst(c.prov, sh.Seed, BurstLongIAT, 100, burstSamples(opts, 100), 0)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("breakdown %s %s: %w", c.prov, c.scen, err)

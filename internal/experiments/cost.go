@@ -137,8 +137,6 @@ type CostOptions struct {
 	AppExec time.Duration
 	// SlackTick routes keep-alive expiries onto the timer wheel (0 = exact).
 	SlackTick time.Duration
-	// Engine selects the invocation execution form.
-	Engine cloud.EngineMode
 }
 
 func (o CostOptions) normalized() CostOptions {
@@ -523,7 +521,6 @@ func runPopulationShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shar
 	}
 	defer e.close()
 	c := e.cloud
-	c.SetEngineMode(opts.Engine)
 	eng := e.eng
 
 	// Tenant arrival/execution randomness derives from the shard seed under

@@ -37,10 +37,6 @@ type Options struct {
 	// CSVDir, when set, makes Report write each figure's series as
 	// <CSVDir>/<figureID>.csv for external plotting.
 	CSVDir string
-	// Engine selects the invocation execution form (proc, callback, or
-	// auto). The forms are byte-identical (see TestEngineFormsEquivalent);
-	// the knob changes wall-clock time only.
-	Engine cloud.EngineMode
 }
 
 // Defaults returns paper-scale options.
@@ -172,15 +168,14 @@ func (e *env) run(sc core.StaticConfig, rc core.RuntimeConfig) (*core.RunResult,
 	return e.client.Run(eps.Endpoints, rc)
 }
 
-// measure creates an isolated environment, runs one configuration under
-// the chosen execution form, and returns the result.
-func measure(providerName string, seed int64, engine cloud.EngineMode, sc core.StaticConfig, rc core.RuntimeConfig) (*core.RunResult, error) {
+// measure creates an isolated environment, runs one configuration, and
+// returns the result.
+func measure(providerName string, seed int64, sc core.StaticConfig, rc core.RuntimeConfig) (*core.RunResult, error) {
 	e, err := newEnv(providerName, seed)
 	if err != nil {
 		return nil, err
 	}
 	defer e.close()
-	e.cloud.SetEngineMode(engine)
 	return e.run(sc, rc)
 }
 

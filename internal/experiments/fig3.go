@@ -34,7 +34,7 @@ func Fig3Warm(opts Options) (*Figure, error) {
 	}
 	series, err := mapSeries(opts, len(AllProviders), func(i int, seed int64) (Series, error) {
 		prov := AllProviders[i]
-		res, err := measure(prov, seed, opts.Engine, pythonFn("warm", 1), core.RuntimeConfig{
+		res, err := measure(prov, seed, pythonFn("warm", 1), core.RuntimeConfig{
 			Samples:       opts.Samples,
 			IAT:           core.Duration(shortIAT),
 			WarmupDiscard: 3,
@@ -63,7 +63,7 @@ func Fig3Cold(opts Options) (*Figure, error) {
 	}
 	series, err := mapSeries(opts, len(AllProviders), func(i int, seed int64) (Series, error) {
 		prov := AllProviders[i]
-		res, err := measure(prov, seed, opts.Engine, pythonFn("cold", opts.Replicas), core.RuntimeConfig{
+		res, err := measure(prov, seed, pythonFn("cold", opts.Replicas), core.RuntimeConfig{
 			Samples: opts.Samples,
 			IAT:     core.Duration(longIATFor(prov) / time.Duration(opts.Replicas)),
 		})

@@ -58,7 +58,7 @@ func Fig4ImageSize(opts Options) (*Figure, error) {
 			ExtraImageBytes: c.size,
 			Replicas:        opts.Replicas,
 		}}}
-		res, err := measure(c.prov, seed, opts.Engine, sc, core.RuntimeConfig{
+		res, err := measure(c.prov, seed, sc, core.RuntimeConfig{
 			Samples: opts.Samples,
 			IAT:     core.Duration(longIATFor(c.prov) / time.Duration(opts.Replicas)),
 		})

@@ -44,7 +44,7 @@ func Fig5RuntimeDeploy(opts Options) (*Figure, error) {
 			Method:   string(tc.method),
 			Replicas: opts.Replicas,
 		}}}
-		res, err := measure("aws", seed, opts.Engine, sc, core.RuntimeConfig{
+		res, err := measure("aws", seed, sc, core.RuntimeConfig{
 			Samples: opts.Samples,
 			IAT:     core.Duration(longIATFor("aws") / time.Duration(opts.Replicas)),
 		})

@@ -46,14 +46,14 @@ func chainConfig(transfer string, payload int64) core.StaticConfig {
 // one provider/transport/payload configuration with warm instances. The IAT
 // stretches for very large payloads so consecutive transfers never overlap
 // (one outstanding request per function, as in §V).
-func runTransfer(prov string, seed int64, engine cloud.EngineMode, transfer string, payload int64, samples int) (*core.RunResult, error) {
+func runTransfer(prov string, seed int64, transfer string, payload int64, samples int) (*core.RunResult, error) {
 	iat := shortIAT
 	if payload >= 100<<20 {
 		// Long enough that transfers never overlap, short enough that no
 		// provider's keep-alive reaps the idle instances in between.
 		iat = 45 * time.Second
 	}
-	return measure(prov, seed, engine, chainConfig(transfer, payload), core.RuntimeConfig{
+	return measure(prov, seed, chainConfig(transfer, payload), core.RuntimeConfig{
 		Samples:       samples,
 		IAT:           core.Duration(iat),
 		WarmupDiscard: 3, // first invocations cold-start both chain members
@@ -73,7 +73,7 @@ func Fig6Inline(opts Options) (*Figure, error) {
 	cases := transferCases(Fig6Payloads)
 	series, err := mapSeries(opts, len(cases), func(i int, seed int64) (Series, error) {
 		c := cases[i]
-		res, err := runTransfer(c.prov, seed, opts.Engine, "inline", c.payload, opts.Samples)
+		res, err := runTransfer(c.prov, seed, "inline", c.payload, opts.Samples)
 		if err != nil {
 			return Series{}, fmt.Errorf("fig6 %s %dB: %w", c.prov, c.payload, err)
 		}

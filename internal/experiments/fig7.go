@@ -41,7 +41,7 @@ func Fig7Storage(opts Options) (*Figure, error) {
 		if c.payload >= 100<<20 && samples > 600 {
 			samples = 600
 		}
-		res, err := runTransfer(c.prov, seed, opts.Engine, "storage", c.payload, samples)
+		res, err := runTransfer(c.prov, seed, "storage", c.payload, samples)
 		if err != nil {
 			return Series{}, fmt.Errorf("fig7 %s %dB: %w", c.prov, c.payload, err)
 		}

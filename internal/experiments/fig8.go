@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/stellar-repro/stellar/internal/cloud"
 	"github.com/stellar-repro/stellar/internal/core"
 )
 
@@ -64,7 +63,7 @@ const (
 // runBurst measures one provider at one burst size under the given IAT
 // regime. Short-IAT runs discard the first (cold) burst to measure the
 // steady state; long-IAT runs measure every (cold) burst.
-func runBurst(prov string, seed int64, engine cloud.EngineMode, kind BurstKind, burst, samples int, execTime time.Duration) (*core.RunResult, error) {
+func runBurst(prov string, seed int64, kind BurstKind, burst, samples int, execTime time.Duration) (*core.RunResult, error) {
 	rc := core.RuntimeConfig{
 		Samples:   samples,
 		BurstSize: burst,
@@ -76,7 +75,7 @@ func runBurst(prov string, seed int64, engine cloud.EngineMode, kind BurstKind, 
 	} else {
 		rc.IAT = core.Duration(longIATFor(prov))
 	}
-	return measure(prov, seed, engine, pythonFn("burst", 1), rc)
+	return measure(prov, seed, pythonFn("burst", 1), rc)
 }
 
 // Fig8Bursts reproduces Fig. 8: latency CDFs for bursty invocation traffic
@@ -107,7 +106,7 @@ func Fig8Bursts(opts Options) (*Figure, error) {
 		if samples < c.burst*2 {
 			samples = c.burst * 2 // at least two measured bursts
 		}
-		res, err := runBurst(c.prov, seed, opts.Engine, c.kind, c.burst, samples, 0)
+		res, err := runBurst(c.prov, seed, c.kind, c.burst, samples, 0)
 		if err != nil {
 			return Series{}, fmt.Errorf("fig8 %s %s burst=%d: %w", c.prov, c.kind, c.burst, err)
 		}

@@ -60,7 +60,7 @@ func Fig9Scheduling(opts Options) (*Figure, error) {
 		} else if samples < c.burst*2 {
 			samples = c.burst * 2
 		}
-		res, err := runBurst(c.prov, seed, opts.Engine, BurstLongIAT, c.burst, samples, Fig9ExecTime)
+		res, err := runBurst(c.prov, seed, BurstLongIAT, c.burst, samples, Fig9ExecTime)
 		if err != nil {
 			return Series{}, fmt.Errorf("fig9 %s burst=%d: %w", c.prov, c.burst, err)
 		}

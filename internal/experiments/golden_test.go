@@ -114,7 +114,9 @@ func jsonGolden(t *testing.T, v any) string {
 // fixtures were generated from the goroutine-proc execution form, so they
 // also hold the callback fast path to the proc pipeline's schedule: a
 // divergence means the callback state machine drifted — fix the schedule,
-// never the fixture.
+// never the fixture. Regenerating them with -update-golden writes
+// whichever form callbackEligible picks, so only a deliberate statistical
+// change may do it.
 var goldenReports = []struct {
 	name   string
 	render func(t *testing.T, workers int) string

@@ -65,12 +65,6 @@ type ScaleOptions struct {
 	// sketches: O(n) memory, for debugging and accuracy cross-checks at
 	// small n.
 	Exact bool
-	// Engine selects the invocation execution form. The default (auto)
-	// runs warm invocations as engine callback chains — the series'
-	// throughput mode — while proc forces the goroutine-per-request form;
-	// the arrival clock is a callback either way. Results are
-	// byte-identical across forms (TestEngineFormsEquivalent).
-	Engine cloud.EngineMode
 }
 
 // series is one scale-shaped run: the options, the series name ("scale" or
@@ -263,9 +257,8 @@ func mergeSeriesShard(res *ScaleResult, sh *seriesShard) (*ScaleResult, error) {
 // runSeriesShard streams one shard's invocations through an isolated
 // environment. The arrival clock retains nothing per request: a single
 // reused request, a single completion callback, and the shard recorder fed
-// by the cloud's Recorder seam. Under EngineAuto eligible warm requests run
-// as callback chains; under EngineProc InvokeAsync spawns one Invoke proc
-// per request.
+// by the cloud's Recorder seam. InvokeAsync runs eligible warm requests as
+// callback chains and spawns an Invoke proc for the rest.
 func runSeriesShard(s series, sh runner.Shard) (*seriesShard, error) {
 	n := shardInvocations(s.Invocations, s.Shards, sh.Index)
 	out := &seriesShard{}
@@ -293,7 +286,6 @@ func runSeriesShard(s series, sh runner.Shard) (*seriesShard, error) {
 		return nil, fmt.Errorf("%s shard %d: %w", s.name, sh.Index, err)
 	}
 	c.SetLatencyRecorder(out.rec)
-	c.SetEngineMode(s.Engine)
 	var tr *trace.Tracer
 	if s.trace != nil {
 		// The tracer's sampling stream is derived from the same shard seed

@@ -75,7 +75,7 @@ func Table1(opts Options) (*Table1Result, error) {
 		cases = append(cases,
 			// Base warm: individual invocations with the short IAT.
 			cellCase{"Base warm", prov, func(seed int64) (*stats.Sample, error) {
-				r, err := runBurst(prov, seed, opts.Engine, BurstShortIAT, 1, opts.Samples, 0)
+				r, err := runBurst(prov, seed, BurstShortIAT, 1, opts.Samples, 0)
 				if err != nil {
 					return nil, fmt.Errorf("table1 %s base warm: %w", prov, err)
 				}
@@ -83,7 +83,7 @@ func Table1(opts Options) (*Table1Result, error) {
 			}},
 			// Base cold: individual invocations with the long IAT.
 			cellCase{"Base cold", prov, func(seed int64) (*stats.Sample, error) {
-				r, err := measure(prov, seed, opts.Engine, pythonFn("cold", opts.Replicas), coldRC(prov, opts))
+				r, err := measure(prov, seed, pythonFn("cold", opts.Replicas), coldRC(prov, opts))
 				if err != nil {
 					return nil, fmt.Errorf("table1 %s base cold: %w", prov, err)
 				}
@@ -99,14 +99,14 @@ func Table1(opts Options) (*Table1Result, error) {
 			}},
 			// Bursty warm / cold: bursts of 100.
 			cellCase{"Bursty warm", prov, func(seed int64) (*stats.Sample, error) {
-				r, err := runBurst(prov, seed, opts.Engine, BurstShortIAT, 100, burstSamples(opts, 100), 0)
+				r, err := runBurst(prov, seed, BurstShortIAT, 100, burstSamples(opts, 100), 0)
 				if err != nil {
 					return nil, fmt.Errorf("table1 %s bursty warm: %w", prov, err)
 				}
 				return r.Latencies, nil
 			}},
 			cellCase{"Bursty cold", prov, func(seed int64) (*stats.Sample, error) {
-				r, err := runBurst(prov, seed, opts.Engine, BurstLongIAT, 100, burstSamples(opts, 100), 0)
+				r, err := runBurst(prov, seed, BurstLongIAT, 100, burstSamples(opts, 100), 0)
 				if err != nil {
 					return nil, fmt.Errorf("table1 %s bursty cold: %w", prov, err)
 				}
@@ -116,7 +116,7 @@ func Table1(opts Options) (*Table1Result, error) {
 			// time is subtracted to isolate infrastructure and queueing
 			// delays (Table I footnote).
 			cellCase{"Bursty long", prov, func(seed int64) (*stats.Sample, error) {
-				r, err := runBurst(prov, seed, opts.Engine, BurstLongIAT, 100, burstSamples(opts, 100), Fig9ExecTime)
+				r, err := runBurst(prov, seed, BurstLongIAT, 100, burstSamples(opts, 100), Fig9ExecTime)
 				if err != nil {
 					return nil, fmt.Errorf("table1 %s bursty long: %w", prov, err)
 				}
@@ -129,14 +129,14 @@ func Table1(opts Options) (*Table1Result, error) {
 		prov := prov
 		cases = append(cases,
 			cellCase{"Inline transfer", prov, func(seed int64) (*stats.Sample, error) {
-				r, err := runTransfer(prov, seed, opts.Engine, "inline", 1<<20, opts.Samples)
+				r, err := runTransfer(prov, seed, "inline", 1<<20, opts.Samples)
 				if err != nil {
 					return nil, fmt.Errorf("table1 %s inline: %w", prov, err)
 				}
 				return r.Transfers, nil
 			}},
 			cellCase{"Storage transfer", prov, func(seed int64) (*stats.Sample, error) {
-				r, err := runTransfer(prov, seed, opts.Engine, "storage", 1<<20, opts.Samples)
+				r, err := runTransfer(prov, seed, "storage", 1<<20, opts.Samples)
 				if err != nil {
 					return nil, fmt.Errorf("table1 %s storage: %w", prov, err)
 				}
@@ -198,7 +198,7 @@ func imageSizeRun(prov string, seed int64, opts Options, size int64) (*core.RunR
 	sc := pythonFn("imgsz", opts.Replicas)
 	sc.Functions[0].Runtime = "go1.x"
 	sc.Functions[0].ExtraImageBytes = size
-	return measure(prov, seed, opts.Engine, sc, coldRC(prov, opts))
+	return measure(prov, seed, sc, coldRC(prov, opts))
 }
 
 // burstSamples sizes a burst run: at least two bursts.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/stellar-repro/stellar/internal/azuretrace"
-	"github.com/stellar-repro/stellar/internal/cloud"
 	"github.com/stellar-repro/stellar/internal/dist"
 	"github.com/stellar-repro/stellar/internal/stats"
 )
@@ -61,8 +60,6 @@ type TenantsOptions struct {
 	MaxConcurrency int
 	// Top reports the N worst tenants by p99 per policy (0 = none).
 	Top int
-	// Engine selects the invocation execution form.
-	Engine cloud.EngineMode
 }
 
 // costOptions maps the sweep onto the population replay it is a preset of:
@@ -90,7 +87,6 @@ func (o TenantsOptions) costOptions() CostOptions {
 		Alpha:          o.Alpha,
 		MaxConcurrency: o.MaxConcurrency,
 		SlackTick:      o.SlackTick,
-		Engine:         o.Engine,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/stellar-repro/stellar/internal/cloud"
 	"github.com/stellar-repro/stellar/internal/runner"
 	"github.com/stellar-repro/stellar/internal/stats"
 	"github.com/stellar-repro/stellar/internal/trace"
@@ -38,12 +37,6 @@ type TraceOptions struct {
 	ExecTime time.Duration
 	// Trace configures the per-shard sampler (rate, slowest-K, ring bound).
 	Trace trace.Config
-	// Engine selects the invocation execution form, as for ScaleOptions: a
-	// traced series is the scale series with a tracer installed, and the
-	// callback form records its spans in place, so tracing never changes
-	// the code path it measures. Outputs are byte-identical across forms
-	// (TestEngineFormsEquivalent).
-	Engine cloud.EngineMode
 }
 
 // TraceResult is the merged outcome of a traced series.
@@ -93,7 +86,6 @@ func RunTrace(opts TraceOptions) (*TraceResult, error) {
 			Burst:       opts.Burst,
 			ExecTime:    opts.ExecTime,
 			Exact:       true,
-			Engine:      opts.Engine,
 		},
 		name:  "trace",
 		trace: &opts.Trace,
