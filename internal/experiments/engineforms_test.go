@@ -1,51 +1,101 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
-	"time"
 
 	"github.com/stellar-repro/stellar/internal/cloud"
-	"github.com/stellar-repro/stellar/internal/trace"
+	"github.com/stellar-repro/stellar/internal/core"
+	"github.com/stellar-repro/stellar/internal/des"
 )
 
-// engineForms are the two execution forms the differential suite compares:
-// proc forces goroutines everywhere, auto takes the callback form wherever a
-// request qualifies for it.
-var engineForms = []cloud.EngineMode{cloud.EngineProc, cloud.EngineAuto}
-
-// formOpts builds figure options for one (engine, workers) cell.
-func formOpts(engine cloud.EngineMode, workers int) Options {
-	o := detOpts(1, workers)
-	o.Engine = engine
-	return o
+// procTransport is core.SimTransport with the execution form fixed to the
+// proc reference: every request runs as a spawned cloud.Invoke proc, as
+// InvokeAsync does for requests its callback form cannot serve.
+type procTransport struct {
+	eng *des.Engine
+	c   *cloud.Cloud
 }
 
-// TestEngineFormsEquivalent is the two-forms contract: every experiment
-// pipeline must produce byte-identical output whether invocations run as
-// goroutine procs or as event-callback chains, at any worker count. The
-// figures compare summary fingerprints; table1, breakdown, scale and trace
-// compare fully rendered reports, so every number a user can see is
-// covered. Faults and workflow have no knob: their requests always run as
-// procs, and their outputs are pinned by golden fixtures instead. A divergence here means the callback state machine's event
-// schedule drifted from the proc pipeline's — fix the schedule, never the
-// fixture.
+func (pt *procTransport) Execute(plan []core.PlannedRequest) ([]core.Sample, error) {
+	samples := make([]core.Sample, len(plan))
+	base := pt.eng.Now()
+	for i := range plan {
+		pr := plan[i]
+		if pr.Endpoint.Provider != pt.c.Config().Name {
+			return nil, fmt.Errorf("procTransport: no simulated cloud for provider %q", pr.Endpoint.Provider)
+		}
+		slot := &samples[i]
+		pt.eng.At(base+pr.At, func() {
+			start := pt.eng.Now()
+			req := &cloud.Request{
+				Fn:                pr.Endpoint.Function,
+				ExecTime:          pr.ExecTime,
+				ChainPayloadBytes: pr.PayloadBytes,
+			}
+			pt.eng.Spawn("cloud/invoke", func(p *des.Proc) {
+				resp, err := pt.c.Invoke(p, req)
+				slot.At = pr.At
+				slot.Latency = pt.eng.Now() - start
+				slot.Err = err
+				if resp != nil {
+					slot.Cold = resp.Cold
+					slot.InstanceID = resp.InstanceID
+					slot.QueueWait = resp.QueueWait
+					slot.Breakdown = resp.Breakdown
+					slot.BilledGBSeconds = resp.BilledGBSeconds
+					if len(pr.Endpoint.Chain) >= 2 {
+						if t, ok := resp.TransferTime(pr.Endpoint.Chain[0], pr.Endpoint.Chain[1]); ok {
+							slot.TransferTime = t
+						}
+					}
+				}
+			})
+		})
+	}
+	pt.eng.Run(0)
+	return samples, nil
+}
+
+// inForms runs fn once with every request forced through the proc form and
+// once with the default transport, whose InvokeAsync picks the form per
+// request, and returns both outputs in that order. It swaps the package's
+// transport constructor, so callers must not run in parallel with other
+// tests.
+func inForms(t *testing.T, fn func() string) [2]string {
+	t.Helper()
+	def := newTransport
+	defer func() { newTransport = def }()
+	newTransport = func(eng *des.Engine, c *cloud.Cloud) core.Transport {
+		return &procTransport{eng: eng, c: c}
+	}
+	proc := fn()
+	newTransport = def
+	return [2]string{proc, fn()}
+}
+
+// TestEngineFormsEquivalent is the two-forms contract at the experiment
+// level: every client-driven pipeline must produce byte-identical output
+// whether each invocation runs as a goroutine proc through cloud.Invoke or
+// takes whatever form InvokeAsync picks, at any worker count. The figures
+// compare summary fingerprints; table1 and breakdown compare fully rendered
+// reports. Scale, trace, faults and workflow drive the cloud without the
+// client transport; their outputs are pinned by golden fixtures instead. A
+// divergence here means the callback state machine's event schedule
+// drifted from the proc pipeline's: fix the schedule, never the fixture.
+//
+// The subtests are sequential because inForms swaps package state.
 func TestEngineFormsEquivalent(t *testing.T) {
 	for _, fr := range figureRunners {
-		fr := fr
 		t.Run(fr.name, func(t *testing.T) {
-			t.Parallel()
 			for _, workers := range []int{1, 8} {
-				var got [2]string
-				for i, engine := range engineForms {
-					fig, err := fr.run(formOpts(engine, workers))
+				got := inForms(t, func() string {
+					fig, err := fr.run(detOpts(1, workers))
 					if err != nil {
-						t.Fatalf("%s engine=%v workers=%d: %v", fr.name, engine, workers, err)
+						t.Fatalf("%s workers=%d: %v", fr.name, workers, err)
 					}
-					got[i] = fingerprint(fig)
-				}
+					return fingerprint(fig)
+				})
 				if got[0] != got[1] {
 					t.Errorf("%s workers=%d: proc and callback forms diverged\n--- proc ---\n%s--- callback ---\n%s",
 						fr.name, workers, got[0], got[1])
@@ -54,134 +104,20 @@ func TestEngineFormsEquivalent(t *testing.T) {
 		})
 	}
 
-	t.Run("table1", func(t *testing.T) {
-		t.Parallel()
-		render := func(res *Table1Result) string {
-			var b strings.Builder
-			for _, row := range res.Rows {
-				for _, prov := range AllProviders {
-					c := row.Cells[prov]
-					fmt.Fprintf(&b, "%s/%s mr=%.6f tr=%.6f na=%v\n", row.Factor, prov, c.MR, c.TR, c.NA)
-				}
-			}
-			for _, prov := range AllProviders {
-				fmt.Fprintf(&b, "base %s=%d\n", prov, int64(res.BaseMedians[prov]))
-			}
-			return b.String()
+	// Of the report goldens, table1 and breakdown run through the client
+	// transport; every number of their rendered reports must match.
+	for _, gr := range goldenReports {
+		if gr.name != "table1" && gr.name != "breakdown" {
+			continue
 		}
-		for _, workers := range []int{1, 8} {
-			var got [2]string
-			for i, engine := range engineForms {
-				res, err := Table1(formOpts(engine, workers))
-				if err != nil {
-					t.Fatalf("table1 engine=%v workers=%d: %v", engine, workers, err)
+		t.Run(gr.name, func(t *testing.T) {
+			for _, workers := range []int{1, 8} {
+				got := inForms(t, func() string { return gr.render(t, workers) })
+				if got[0] != got[1] {
+					t.Errorf("%s workers=%d: proc and callback forms diverged\n--- proc ---\n%s--- callback ---\n%s",
+						gr.name, workers, got[0], got[1])
 				}
-				got[i] = render(res)
 			}
-			if got[0] != got[1] {
-				t.Errorf("table1 workers=%d: proc and callback forms diverged\n--- proc ---\n%s--- callback ---\n%s",
-					workers, got[0], got[1])
-			}
-		}
-	})
-
-	t.Run("breakdown", func(t *testing.T) {
-		t.Parallel()
-		// The rendered report includes every per-component mean and the
-		// cold-phase split, so it also proves the callback path fills
-		// Response.Breakdown identically to the proc path.
-		for _, workers := range []int{1, 8} {
-			var got [2]string
-			for i, engine := range engineForms {
-				res, err := BreakdownStudy(formOpts(engine, workers))
-				if err != nil {
-					t.Fatalf("breakdown engine=%v workers=%d: %v", engine, workers, err)
-				}
-				var b strings.Builder
-				WriteBreakdownReport(&b, res)
-				got[i] = b.String()
-			}
-			if got[0] != got[1] {
-				t.Errorf("breakdown workers=%d: proc and callback forms diverged", workers)
-			}
-		}
-	})
-
-	t.Run("scale", func(t *testing.T) {
-		t.Parallel()
-		// The scale series is where the callback form actually is the hot
-		// path (arrival loop included), so this cell exercises the most
-		// callback code of the suite. Sketch mode covers the Recorder seam.
-		for _, workers := range []int{1, 8} {
-			var got [2]string
-			for i, engine := range engineForms {
-				res, err := RunScale(ScaleOptions{
-					Provider:    "aws",
-					Invocations: 6000,
-					Shards:      4,
-					Workers:     workers,
-					Seed:        1,
-					IAT:         5 * time.Millisecond,
-					Burst:       3,
-					Engine:      engine,
-				})
-				if err != nil {
-					t.Fatalf("scale engine=%v workers=%d: %v", engine, workers, err)
-				}
-				var b strings.Builder
-				WriteScaleReport(&b, res)
-				if err := WriteScaleCDF(&b, res); err != nil {
-					t.Fatal(err)
-				}
-				got[i] = b.String()
-			}
-			if got[0] != got[1] {
-				t.Errorf("scale workers=%d: proc and callback forms diverged\n--- proc ---\n%s--- callback ---\n%s",
-					workers, got[0], got[1])
-			}
-		}
-	})
-
-	t.Run("trace", func(t *testing.T) {
-		t.Parallel()
-		// A tracer keeps requests on the callback fast path, so this cell
-		// proves the fast path emits the proc form's spans: besides the
-		// rendered report (aggregates and attribution), every retained
-		// span trace must match field for field.
-		for _, workers := range []int{1, 8} {
-			var got, spans [2]string
-			for i, engine := range engineForms {
-				res, err := RunTrace(TraceOptions{
-					Provider:    "aws",
-					Invocations: 400,
-					Shards:      4,
-					Workers:     workers,
-					Seed:        1,
-					IAT:         50 * time.Millisecond,
-					Burst:       4,
-					ExecTime:    5 * time.Millisecond,
-					Trace:       trace.Config{SampleRate: 1, SlowestK: 8},
-					Engine:      engine,
-				})
-				if err != nil {
-					t.Fatalf("trace engine=%v workers=%d: %v", engine, workers, err)
-				}
-				var b strings.Builder
-				WriteTraceReport(&b, res)
-				got[i] = b.String()
-				js, err := json.Marshal(res.Traces)
-				if err != nil {
-					t.Fatal(err)
-				}
-				spans[i] = string(js)
-			}
-			if got[0] != got[1] {
-				t.Errorf("trace workers=%d: proc and callback forms diverged\n--- proc ---\n%s--- callback ---\n%s",
-					workers, got[0], got[1])
-			}
-			if spans[0] != spans[1] {
-				t.Errorf("trace workers=%d: proc and callback forms retained different span traces", workers)
-			}
-		}
-	})
+		})
+	}
 }

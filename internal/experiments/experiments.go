@@ -122,6 +122,13 @@ type env struct {
 	deployer *core.Deployer
 }
 
+// newTransport builds an environment's client transport. The two-forms
+// test swaps it for one that serves every request through the proc form
+// (cloud.Invoke), the reference the default transport must reproduce.
+var newTransport = func(eng *des.Engine, c *cloud.Cloud) core.Transport {
+	return core.NewSimTransport(eng, c)
+}
+
 // newEnv builds an environment for a provider profile.
 func newEnv(providerName string, seed int64) (*env, error) {
 	cfg, err := providers.Get(providerName)
@@ -143,7 +150,7 @@ func newEnvWithConfig(cfg cloud.Config, seed int64) (*env, error) {
 	}
 	sp := &core.SimProvider{Cloud: cl, BaseZipBytes: providers.BaseZipBytes()}
 	client := &core.Client{
-		Transport: core.NewSimTransport(eng, cl),
+		Transport: newTransport(eng, cl),
 		RNG:       streams.Stream("stellar-client"),
 	}
 	return &env{
