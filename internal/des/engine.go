@@ -105,6 +105,7 @@ func (t Timer) Cancel() bool {
 	h.idx = -1
 	h.gen++
 	e.freeHandles = append(e.freeHandles, t.id)
+	e.stats.TimersCanceled++
 	return true
 }
 
@@ -144,6 +145,9 @@ type Engine struct {
 	// because its run loop peeks the heap root for wall pacing.
 	next    event
 	hasNext bool
+
+	// stats counts the engine's work; see Stats.
+	stats Stats
 
 	// mainWake returns the control token to the run loop (Run, RunRealTime,
 	// or Close) when a process exits, is killed, or parks at the horizon.
@@ -264,6 +268,7 @@ func (e *Engine) siftDown(i int) {
 
 // push appends an event and restores heap order.
 func (e *Engine) push(ev event) {
+	e.stats.HeapPushes++
 	e.events = append(e.events, ev)
 	e.siftUp(len(e.events) - 1)
 }
@@ -326,35 +331,42 @@ func eventBefore(a, b *event) bool {
 // timers always live in the heap (their handles track heap indices), which
 // may require evicting a cached event that no longer holds the minimum.
 func (e *Engine) enqueue(ev event) {
-	if e.realTime || ev.hid >= 0 {
+	switch {
+	case e.realTime || ev.hid >= 0:
 		if e.hasNext && eventBefore(&ev, &e.next) {
 			e.push(e.next)
 			e.next = event{}
 			e.hasNext = false
 		}
 		e.push(ev)
-		return
-	}
-	if !e.hasNext {
+	case !e.hasNext:
 		if len(e.events) == 0 || eventBefore(&ev, &e.events[0]) {
 			e.next, e.hasNext = ev, true
 		} else {
 			e.push(ev)
 		}
-		return
-	}
-	if eventBefore(&ev, &e.next) {
+	case eventBefore(&ev, &e.next):
 		e.push(e.next)
 		e.next = ev
-	} else {
+	default:
 		e.push(ev)
+	}
+	e.notePending()
+}
+
+// notePending folds the current schedule size into the peak-pending count.
+func (e *Engine) notePending() {
+	if n := e.PendingEvents(); n > e.stats.PeakPending {
+		e.stats.PeakPending = n
 	}
 }
 
 // popNext removes and returns the minimum pending event: the front cache
 // when occupied (the invariant makes it the minimum), else the heap root.
 func (e *Engine) popNext() event {
+	e.stats.Events++
 	if e.hasNext {
+		e.stats.FrontHits++
 		ev := e.next
 		e.next = event{}
 		e.hasNext = false
@@ -397,6 +409,7 @@ func (e *Engine) scheduleTimer(at Time, fn func()) Timer {
 		e.handles = append(e.handles, timerHandle{})
 	}
 	e.seq++
+	e.stats.TimersArmed++
 	e.enqueue(event{at: at, seq: e.seq, fn: fn, hid: id})
 	// enqueue placed the timer in the heap and recorded its index via noteIdx.
 	return Timer{eng: e, id: id, gen: e.handles[id].gen}
@@ -563,6 +576,7 @@ func (e *Engine) RunRealTime(stop <-chan struct{}) {
 			continue // an injection scheduled something earlier
 		}
 		ev := e.pop()
+		e.stats.Events++
 		if ev.at > e.now {
 			e.now = ev.at
 		}
@@ -703,6 +717,32 @@ func (e *Engine) Close() {
 	e.freeHandles = nil
 	e.wheel = nil
 }
+
+// Stats is a snapshot of the engine's work counters since NewEngine. Every
+// field is deterministic for a given schedule, so counts taken from two
+// runs of the same seed are equal and can be pinned exactly, unlike host
+// time.
+type Stats struct {
+	// Events counts dispatched events: callbacks, process resumes, and
+	// slack timers fired by a wheel alarm (the alarm itself counts too).
+	Events uint64
+	// FrontHits counts events dispatched from the one-event front cache,
+	// i.e. without any heap traffic.
+	FrontHits uint64
+	// HeapPushes counts insertions into the heap, including front-cache
+	// evictions.
+	HeapPushes uint64
+	// TimersArmed counts cancelable timers scheduled with At, After or
+	// AfterSlack, including the slack wheel's own alarms.
+	TimersArmed uint64
+	// TimersCanceled counts Cancel calls that prevented a callback.
+	TimersCanceled uint64
+	// PeakPending is the largest PendingEvents value reached.
+	PeakPending int
+}
+
+// Stats returns the engine's work counters. It does not allocate.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // PendingEvents reports the number of scheduled events (including the
 // front-cached one and any timers parked on the slack wheel). Canceled

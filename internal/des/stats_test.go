@@ -1,0 +1,49 @@
+package des
+
+import (
+	"testing"
+	"time"
+)
+
+// TestStatsCounts pins every Stats counter on a small schedule whose
+// dispatch path is known hop by hop: a two-hop callback chain that stays in
+// the front cache, one heap timer that fires and one that is canceled.
+func TestStatsCounts(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	e.Call(func() { e.CallAfter(time.Millisecond, func() {}) })
+	e.At(5*time.Millisecond, func() {})
+	e.At(6*time.Millisecond, func() {}).Cancel()
+	e.Run(0)
+	want := Stats{Events: 3, FrontHits: 2, HeapPushes: 2, TimersArmed: 2, TimersCanceled: 1, PeakPending: 3}
+	if got := e.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+}
+
+// TestStatsSlackWheel counts a slack timer twice, once on insert and once
+// for the wheel alarm that carries it, and dispatches both the alarm and
+// the timer it fires.
+func TestStatsSlackWheel(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	e.SetTimerSlack(10 * time.Millisecond)
+	fired := false
+	e.AfterSlack(25*time.Millisecond, func() { fired = true })
+	e.Run(0)
+	want := Stats{Events: 2, HeapPushes: 1, TimersArmed: 2, PeakPending: 2}
+	if got := e.Stats(); !fired || got != want {
+		t.Fatalf("fired=%v Stats = %+v, want %+v", fired, got, want)
+	}
+}
+
+// TestStatsAllocFree: reading the counters never allocates.
+func TestStatsAllocFree(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	var s Stats
+	if a := testing.AllocsPerRun(100, func() { s = e.Stats() }); a != 0 {
+		t.Fatalf("Stats allocates %v per call", a)
+	}
+	_ = s
+}

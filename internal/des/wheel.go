@@ -146,6 +146,8 @@ func (w *wheel) schedule(at Time, fn func()) Timer {
 	nd.fn, nd.tick, nd.hid = fn, qt, id
 	w.place(ni, qt)
 	w.count++
+	e.stats.TimersArmed++
+	e.notePending()
 	if w.alarmTick < 0 || qt < w.alarmTick {
 		w.arm(qt)
 	}
@@ -259,6 +261,7 @@ func (w *wheel) fireSlot(t int64) {
 		h.wheel = false
 		h.gen++
 		e.freeHandles = append(e.freeHandles, hid)
+		e.stats.Events++
 		fn()
 	}
 }
