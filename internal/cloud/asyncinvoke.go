@@ -34,7 +34,7 @@ import (
 type warmCall struct {
 	c    *Cloud
 	fn   *Function
-	req  *Request
+	req  Request // the caller's request, copied: InvokeAsync retains no pointer
 	done func(*Response, error)
 	tr   *trace.Req // span handle; nil when untraced or not sampled
 
@@ -59,19 +59,17 @@ type warmCall struct {
 
 	// Step closures, bound once in newWarmCall so scheduling them is
 	// allocation-free.
-	beginFn        func()
-	frontendFn     func()
-	admitFn        func()
-	slowProbFn     func()
-	slowDoneFn     func()
-	acquireFn      func()
-	queueResumeFn  func()
-	handoffDoneFn  func()
-	overheadDoneFn func()
-	execDoneFn     func()
-	respDoneFn     func()
-	finishFn       func()
-	timeoutFn      func()
+	beginFn       func()
+	frontendFn    func()
+	admitFn       func()
+	slowProbFn    func()
+	slowDoneFn    func()
+	acquireFn     func()
+	queueResumeFn func()
+	handoffDoneFn func()
+	execDoneFn    func()
+	finishFn      func()
+	timeoutFn     func()
 }
 
 func newWarmCall(c *Cloud) *warmCall {
@@ -85,9 +83,7 @@ func newWarmCall(c *Cloud) *warmCall {
 	wc.acquireFn = wc.acquire
 	wc.queueResumeFn = wc.queueResume
 	wc.handoffDoneFn = wc.handoffDone
-	wc.overheadDoneFn = wc.overheadDone
 	wc.execDoneFn = wc.execDone
-	wc.respDoneFn = wc.respDone
 	wc.finishFn = wc.finish
 	wc.timeoutFn = wc.timeout
 	return wc
@@ -103,7 +99,8 @@ func (c *Cloud) getWarmCall() *warmCall {
 }
 
 func (c *Cloud) putWarmCall(wc *warmCall) {
-	wc.fn, wc.req, wc.done, wc.inst, wc.tr = nil, nil, nil, nil, nil
+	wc.fn, wc.done, wc.inst, wc.tr = nil, nil, nil, nil
+	wc.req = Request{}
 	wc.cold, wc.granted, wc.timedOut = false, false, false
 	wc.congQ = 0
 	wc.pr = pendingReq{wc: wc}
@@ -143,13 +140,14 @@ func (c *Cloud) callbackEligible(req *Request, fn *Function) bool {
 func (c *Cloud) InvokeAsync(req *Request, done func(*Response, error)) {
 	fn, ok := c.functions[req.Fn]
 	if !ok || !c.callbackEligible(req, fn) {
+		r := *req
 		c.eng.Spawn("cloud/invoke", func(p *des.Proc) {
-			done(c.Invoke(p, req))
+			done(c.Invoke(p, &r))
 		})
 		return
 	}
 	wc := c.getWarmCall()
-	wc.fn, wc.req, wc.done = fn, req, done
+	wc.fn, wc.req, wc.done = fn, *req, done
 	c.eng.Call(wc.beginFn)
 }
 
@@ -317,54 +315,42 @@ func (wc *warmCall) handoffDone() {
 	wc.serveOn(wc.inst)
 }
 
-// serveOn is serve's fast form: per-invocation overhead, then execution.
-// A freshly spawned instance granted to this request still counts as a
-// cold serve — the spawn pipeline itself ran as a proc; only the serving
-// is callback-form.
+// serveOn is serve's fast form. Overhead and execution draw nothing and
+// touch no shared state between them, so one event covers both, as
+// serve's single sleep does. A freshly spawned instance granted to this
+// request still counts as a cold serve — the spawn pipeline itself ran as
+// a proc; only the serving is callback-form.
 func (wc *warmCall) serveOn(inst *Instance) {
-	c := wc.c
+	c, fn := wc.c, wc.fn
 	wc.inst = inst
 	wc.cold = inst.served == 0
 	inst.served++
 	wc.tr.SetCold(wc.cold)
 	if wc.cold {
 		c.metrics.ColdServed++
-		wc.fn.tm.ColdServed++
+		fn.tm.ColdServed++
 		wc.bd.ColdStart = inst.coldBreakdown
 		coldSpans(wc.tr, inst)
 	} else {
 		c.metrics.WarmServed++
-		wc.fn.tm.WarmServed++
+		fn.tm.WarmServed++
 	}
 	wc.busyStart = c.eng.Now()
 	wc.bd.Overhead = c.cfg.WarmOverhead.Sample(c.rngInstance)
-	c.eng.CallAfter(wc.bd.Overhead, wc.overheadDoneFn)
-}
-
-// overheadDone starts the busy-spin execution; an instant handler falls
-// straight through with no event, as Invoke's exec==0 path sleeps nothing.
-func (wc *warmCall) overheadDone() {
-	c, fn := wc.c, wc.fn
-	wc.tr.Mark(trace.StageOverhead, wc.bd.Overhead, c.eng.Now())
-	exec := wc.req.ExecTime
-	if exec == 0 {
-		exec = fn.spec.ExecTime
-	}
-	if exec > 0 {
-		exec = time.Duration(float64(exec) * c.cfg.throttleFactor(fn.spec.MemoryMB))
-		wc.bd.Exec = exec
-		c.eng.CallAfter(exec, wc.execDoneFn)
-		return
-	}
-	wc.execDone()
+	wc.bd.Exec = c.execTime(&wc.req, fn)
+	c.eng.CallAfter(wc.bd.Overhead+wc.bd.Exec, wc.execDoneFn)
 }
 
 // execDone closes the serve window: billing, instance release (before the
-// response path, as Invoke releases), and the response-path delay.
+// response path, as Invoke releases), and the response-path draw. The
+// response path and the return propagation leg draw nothing after it, so
+// one event covers both.
 func (wc *warmCall) execDone() {
 	c, fn := wc.c, wc.fn
-	wc.tr.Mark(trace.StageExec, wc.bd.Exec, c.eng.Now())
-	gbs := (c.eng.Now() - wc.busyStart).Seconds() * c.cfg.memoryGB(fn.spec.MemoryMB)
+	now := c.eng.Now()
+	wc.tr.Mark(trace.StageOverhead, wc.bd.Overhead, wc.busyStart+wc.bd.Overhead)
+	wc.tr.Mark(trace.StageExec, wc.bd.Exec, now)
+	gbs := (now - wc.busyStart).Seconds() * c.cfg.memoryGB(fn.spec.MemoryMB)
 	wc.resp.BilledGBSeconds = gbs
 	c.metrics.BilledGBSeconds += gbs
 	// Capture the instance id before release: instance records are pooled,
@@ -374,13 +360,7 @@ func (wc *warmCall) execDone() {
 	fn.release(wc.inst)
 	wc.tr.Attempt(0)
 	wc.bd.ResponsePath = c.cfg.ResponseDelay.Sample(c.rngIngress)
-	c.eng.CallAfter(wc.bd.ResponsePath, wc.respDoneFn)
-}
-
-// respDone is the provider→client propagation leg.
-func (wc *warmCall) respDone() {
-	wc.tr.Mark(trace.StageResponse, wc.bd.ResponsePath, wc.c.eng.Now())
-	wc.c.eng.CallAfter(wc.c.cfg.PropagationRTT/2, wc.finishFn)
+	c.eng.CallAfter(wc.bd.ResponsePath+c.cfg.PropagationRTT/2, wc.finishFn)
 }
 
 // finish delivers the response at the instant it reaches the client,
@@ -388,7 +368,10 @@ func (wc *warmCall) respDone() {
 // record.
 func (wc *warmCall) finish() {
 	c, fn := wc.c, wc.fn
-	wc.tr.Mark(trace.StagePropagation, c.cfg.PropagationRTT/2, c.eng.Now())
+	now := c.eng.Now()
+	half := c.cfg.PropagationRTT / 2
+	wc.tr.Mark(trace.StageResponse, wc.bd.ResponsePath, now-half)
+	wc.tr.Mark(trace.StagePropagation, half, now)
 	resp := &wc.resp
 	resp.Fn = fn.spec.Name
 	resp.Cold = wc.cold
@@ -397,13 +380,13 @@ func (wc *warmCall) finish() {
 	resp.Breakdown = wc.bd
 	fn.inflight--
 	if wc.tr != nil {
-		c.tr.End(wc.tr, c.eng.Now(), nil)
+		c.tr.End(wc.tr, now, nil)
 	}
 	if c.latRec != nil {
-		c.latRec.Add(c.eng.Now() - wc.start)
+		c.latRec.Add(now - wc.start)
 	}
 	if fn.rec != nil {
-		fn.rec.Add(c.eng.Now() - wc.start)
+		fn.rec.Add(now - wc.start)
 	}
 	wc.done(resp, nil)
 	c.putWarmCall(wc)

@@ -703,11 +703,13 @@ func (c *Cloud) Invoke(p *des.Proc, req *Request) (_ *Response, err error) {
 	// Egress: response path + propagation back to the client.
 	tr.Attempt(0)
 	if !req.Internal {
+		// The response path and the return leg draw nothing between them:
+		// one sleep covers both, as in the callback form's execDone.
+		half := c.cfg.PropagationRTT / 2
 		bd.ResponsePath = c.cfg.ResponseDelay.Sample(c.rngIngress)
-		p.Sleep(bd.ResponsePath)
-		tr.Mark(trace.StageResponse, bd.ResponsePath, p.Now())
-		p.Sleep(c.cfg.PropagationRTT / 2)
-		tr.Mark(trace.StagePropagation, c.cfg.PropagationRTT/2, p.Now())
+		p.Sleep(bd.ResponsePath + half)
+		tr.Mark(trace.StageResponse, bd.ResponsePath, p.Now()-half)
+		tr.Mark(trace.StagePropagation, half, p.Now())
 	}
 	resp.QueueWait = bd.QueueWait
 	resp.Attempts = attempts
@@ -785,12 +787,22 @@ func (c *Cloud) serve(p *des.Proc, inst *Instance, req *Request, fn *Function, b
 	}()
 
 	bd.Overhead = c.cfg.WarmOverhead.Sample(c.rngInstance)
-	p.Sleep(bd.Overhead)
-	tr.Mark(trace.StageOverhead, bd.Overhead, p.Now())
+	exec := c.execTime(req, fn)
 
-	// Retrieve a storage-based payload before the handler body runs.
-	if req.storageKey != "" {
-		// Injected storage timeout: the fetch blocks for the configured
+	// Without a storage payload nothing happens between the overhead and
+	// the handler body, so one sleep covers both; the callback form's
+	// serveOn makes the same fold.
+	if req.storageKey == "" {
+		bd.Exec = exec
+		p.Sleep(bd.Overhead + exec)
+		tr.Mark(trace.StageOverhead, bd.Overhead, busyStart+bd.Overhead)
+		resp.Timestamps[fn.spec.Name+".recv"] = busyStart + bd.Overhead
+		tr.Mark(trace.StageExec, exec, p.Now())
+	} else {
+		p.Sleep(bd.Overhead)
+		tr.Mark(trace.StageOverhead, bd.Overhead, p.Now())
+		// Retrieve the storage-based payload before the handler body runs.
+		// An injected storage timeout blocks the fetch for the configured
 		// deadline, then fails the invocation (the instance survives and
 		// is released by the non-crash error path in Invoke).
 		if c.inj != nil {
@@ -808,19 +820,12 @@ func (c *Cloud) serve(p *des.Proc, inst *Instance, req *Request, fn *Function, b
 		}
 		bd.PayloadFetch = lat
 		tr.Mark(trace.StagePayloadFetch, lat, p.Now())
-	}
-	resp.Timestamps[fn.spec.Name+".recv"] = p.Now()
-
-	exec := req.ExecTime
-	if exec == 0 {
-		exec = fn.spec.ExecTime
-	}
-	if exec > 0 {
-		// Busy-spin work stretches on CPU-throttled low-memory instances.
-		exec = time.Duration(float64(exec) * c.cfg.throttleFactor(fn.spec.MemoryMB))
-		bd.Exec = exec
-		p.Sleep(exec)
-		tr.Mark(trace.StageExec, exec, p.Now())
+		resp.Timestamps[fn.spec.Name+".recv"] = p.Now()
+		if exec > 0 {
+			bd.Exec = exec
+			p.Sleep(exec)
+			tr.Mark(trace.StageExec, exec, p.Now())
+		}
 	}
 
 	// Injected instance crash: the sandbox dies after executing.
@@ -881,6 +886,19 @@ func (c *Cloud) serve(p *des.Proc, inst *Instance, req *Request, fn *Function, b
 		}
 	}
 	return resp, nil
+}
+
+// execTime is the request's busy-spin duration: its own ExecTime, else the
+// function's default, stretched on CPU-throttled low-memory instances.
+func (c *Cloud) execTime(req *Request, fn *Function) time.Duration {
+	exec := req.ExecTime
+	if exec == 0 {
+		exec = fn.spec.ExecTime
+	}
+	if exec <= 0 {
+		return 0
+	}
+	return time.Duration(float64(exec) * c.cfg.throttleFactor(fn.spec.MemoryMB))
 }
 
 // invokeDownstream performs the chain's downstream call(s): one sequential

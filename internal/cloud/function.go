@@ -26,16 +26,22 @@ type Instance struct {
 	worker        *Worker
 	state         instanceState
 	served        uint64
-	keepAlive     des.Timer
 	createdAt     des.Time
 	coldBreakdown ColdBreakdown
 	// stateSince is when the instance entered its current state; the usage
 	// meters integrate (now - stateSince) per state at every transition.
 	stateSince des.Time
-	// expireFn is the keep-alive expiry closure, bound once at record
+	// Keep-alive expiry is lazy: idleUntil is the instant the current (or
+	// last) idle period ends, and keepAlive is the one pending timer, armed
+	// for keepAliveAt <= idleUntil. Reuse only moves idleUntil; the timer
+	// re-arms itself when it fires early (see keepAliveDue).
+	idleUntil   des.Time
+	keepAlive   des.Timer
+	keepAliveAt des.Time
+	// keepAliveFn is the keep-alive timer's closure, bound once at record
 	// creation so parking an instance idle never allocates. It reads
 	// inst.fn at fire time, so the record can recycle across functions.
-	expireFn func()
+	keepAliveFn func()
 	// freeNext links recycled records on the Cloud's instance free list.
 	freeNext *Instance
 }
@@ -47,7 +53,7 @@ func (c *Cloud) getInstance(fn *Function, w *Worker, createdAt des.Time, cb Cold
 	inst := c.instFree
 	if inst == nil {
 		inst = &Instance{}
-		inst.expireFn = func() { inst.fn.expire(inst) }
+		inst.keepAliveFn = func() { inst.fn.keepAliveDue(inst) }
 	} else {
 		c.instFree = inst.freeNext
 		inst.freeNext = nil
@@ -184,9 +190,10 @@ func (fn *Function) atCapacity() bool {
 	return fn.maxInstances > 0 && len(fn.live)+fn.pending >= fn.maxInstances
 }
 
-// claimIdle pops the most-recently-used idle instance, canceling its
-// keep-alive timer. MRU reuse keeps hot instances hot, matching provider
-// behavior of routing to recently-active instances.
+// claimIdle pops the most-recently-used idle instance. Its keep-alive
+// timer stays armed: a timer that fires on a busy instance is ignored.
+// MRU reuse keeps hot instances hot, matching provider behavior of routing
+// to recently-active instances.
 func (fn *Function) claimIdle() *Instance {
 	for len(fn.idle) > 0 {
 		inst := fn.idle[len(fn.idle)-1]
@@ -194,8 +201,6 @@ func (fn *Function) claimIdle() *Instance {
 		if inst.state != stateIdle {
 			continue // raced with expiry bookkeeping; skip
 		}
-		inst.keepAlive.Cancel()
-		inst.keepAlive = des.Timer{}
 		fn.noteUsage(inst)
 		inst.state = stateBusy
 		return inst
@@ -261,10 +266,12 @@ func (fn *Function) dropBuffered(pr *pendingReq) {
 	}
 }
 
-// parkIdle moves an instance to the idle pool and arms its keep-alive timer
-// under the function's (possibly per-tenant) policy. Expiries route through
-// AfterSlack so a provider-scale simulation can coarsen them onto the timer
-// wheel; with KeepAliveSlack unset this is exactly After.
+// parkIdle moves an instance to the idle pool and sets its keep-alive
+// deadline under the function's (possibly per-tenant) policy. A timer is
+// armed only when none is pending, or when the pending one is later than
+// the new deadline (a Dist policy can draw a shorter life). Expiries route
+// through AfterSlack so a provider-scale simulation can coarsen them onto
+// the timer wheel; with KeepAliveSlack unset this is exactly After.
 func (fn *Function) parkIdle(inst *Instance) {
 	fn.noteUsage(inst)
 	inst.state = stateIdle
@@ -278,7 +285,37 @@ func (fn *Function) parkIdle(inst *Instance) {
 	if life <= 0 {
 		life = fn.keepAlive.Dist.Sample(fn.c.rngSched)
 	}
-	inst.keepAlive = fn.c.eng.AfterSlack(life, inst.expireFn)
+	inst.idleUntil = fn.c.eng.Now() + life
+	if inst.keepAlive.Pending() {
+		if inst.keepAliveAt <= inst.idleUntil {
+			return
+		}
+		inst.keepAlive.Cancel()
+	}
+	fn.armKeepAlive(inst)
+}
+
+// armKeepAlive arms inst's keep-alive timer for its idle deadline.
+func (fn *Function) armKeepAlive(inst *Instance) {
+	inst.keepAliveAt = inst.idleUntil
+	inst.keepAlive = fn.c.eng.AfterSlack(inst.idleUntil-fn.c.eng.Now(), inst.keepAliveFn)
+}
+
+// keepAliveDue runs when inst's keep-alive timer fires. A busy instance
+// ignores it (its next parkIdle arms a fresh timer); an idle one that was
+// reused since the timer was armed re-arms at its stored deadline, so the
+// expiry lands exactly where a timer re-armed on every park would.
+// Suspended, crashed and removed instances never get here: those paths
+// cancel the timer before the record can be recycled.
+func (fn *Function) keepAliveDue(inst *Instance) {
+	if inst.state != stateIdle {
+		return
+	}
+	if fn.c.eng.Now() < inst.idleUntil {
+		fn.armKeepAlive(inst)
+		return
+	}
+	fn.expire(inst)
 }
 
 // destroy removes a crashed instance immediately.
@@ -303,14 +340,14 @@ func (fn *Function) destroy(inst *Instance) {
 	}
 }
 
-// expire reaps an idle instance whose keep-alive elapsed.
+// expire reaps an idle instance whose keep-alive elapsed (or that the
+// autoscaler evicts).
 func (fn *Function) expire(inst *Instance) {
 	if inst.state != stateIdle {
 		return
 	}
 	fn.noteUsage(inst)
 	inst.state = stateGone
-	inst.keepAlive = des.Timer{}
 	for i, cand := range fn.idle {
 		if cand == inst {
 			fn.idle = append(fn.idle[:i], fn.idle[i+1:]...)
