@@ -133,6 +133,12 @@ func TestCostCommandBadFlags(t *testing.T) {
 	if code, _, _ := run(t, "cost", "-plans", "freelunch"); code == 0 {
 		t.Fatal("unknown plan accepted")
 	}
+	for _, bad := range [][]string{{"-resume-delay", "-1s"}, {"-shards", "-2"}, {"-workflow", "chain-2", "-app-iat", "-1s"}} {
+		code, _, errOut := run(t, append([]string{"cost", "-tenants", "4", "-duration", "10s"}, bad...)...)
+		if code == 0 || !strings.Contains(errOut, "negative") {
+			t.Errorf("cost %v: exit %d, error %q; want a negative-option error", bad, code, errOut)
+		}
+	}
 	if code, _, _ := run(t, "cost", "-tenants", "4", "-duration", "10s",
 		"-save", "x.json", "-save-policy", "nope"); code == 0 {
 		t.Fatal("unknown save policy accepted")

@@ -65,6 +65,13 @@ func TestTenantsCommandBadFlags(t *testing.T) {
 	if code, _, _ := run(t, "tenants", "-provider", "nope", "-tenants", "2", "-duration", "1m"); code == 0 {
 		t.Fatal("unknown provider accepted")
 	}
+	// Negative options are errors, never silently replaced by defaults.
+	for _, bad := range [][]string{{"-shards", "-2"}, {"-workers", "-3"}, {"-iat-lo", "-1s"}, {"-top", "-1"}} {
+		code, _, errOut := run(t, append([]string{"tenants", "-tenants", "10", "-duration", "1m"}, bad...)...)
+		if code == 0 || !strings.Contains(errOut, "negative") {
+			t.Errorf("tenants %v: exit %d, error %q; want a negative-option error", bad, code, errOut)
+		}
+	}
 }
 
 // TestBadAlphaRejected: an out-of-range or NaN sketch accuracy is a flag

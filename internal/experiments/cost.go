@@ -137,10 +137,17 @@ type CostOptions struct {
 	AppExec time.Duration
 	// SlackTick routes keep-alive expiries onto the timer wheel (0 = exact).
 	SlackTick time.Duration
+
+	// top keeps each policy's N worst tenants by p99 (the tenants report's
+	// -top; 0 = none).
+	top int
 }
 
+// normalized fills zero-valued options with their defaults. Negative values
+// are left for validate to reject, except MaxConcurrency, where negative
+// documents "uncapped".
 func (o CostOptions) normalized() CostOptions {
-	if o.Shards <= 0 {
+	if o.Shards == 0 {
 		o.Shards = 8
 	}
 	if len(o.Policies) == 0 {
@@ -155,10 +162,10 @@ func (o CostOptions) normalized() CostOptions {
 			o.Plans = append(o.Plans, plan)
 		}
 	}
-	if o.MeanIATLo <= 0 {
+	if o.MeanIATLo == 0 {
 		o.MeanIATLo = time.Second
 	}
-	if o.MeanIATHi <= 0 {
+	if o.MeanIATHi == 0 {
 		o.MeanIATHi = time.Minute
 	}
 	if o.Alpha == 0 {
@@ -170,17 +177,17 @@ func (o CostOptions) normalized() CostOptions {
 	if o.MaxConcurrency < 0 {
 		o.MaxConcurrency = 0
 	}
-	if o.ResumeDelay <= 0 {
+	if o.ResumeDelay == 0 {
 		o.ResumeDelay = 50 * time.Millisecond
 	}
 	if o.Workflow != "" {
 		if o.Apps == 0 {
 			o.Apps = 64
 		}
-		if o.AppIAT <= 0 {
+		if o.AppIAT == 0 {
 			o.AppIAT = 500 * time.Millisecond
 		}
-		if o.AppExec <= 0 {
+		if o.AppExec == 0 {
 			o.AppExec = 20 * time.Millisecond
 		}
 	}
@@ -196,6 +203,23 @@ func (o CostOptions) validate() error {
 	}
 	if o.Duration <= 0 {
 		return fmt.Errorf("duration must be positive")
+	}
+	for _, neg := range []struct {
+		name string
+		v    int64
+	}{
+		{"shards", int64(o.Shards)},
+		{"workers", int64(o.Workers)},
+		{"mean IAT lower bound", int64(o.MeanIATLo)},
+		{"mean IAT upper bound", int64(o.MeanIATHi)},
+		{"resume delay", int64(o.ResumeDelay)},
+		{"workflow app IAT", int64(o.AppIAT)},
+		{"workflow app exec", int64(o.AppExec)},
+		{"top", int64(o.top)},
+	} {
+		if neg.v < 0 {
+			return fmt.Errorf("negative %s", neg.name)
+		}
 	}
 	seen := make(map[string]bool, len(o.Policies))
 	for i := range o.Policies {
@@ -345,7 +369,7 @@ type populationShard struct {
 // metered usage is priced under every plan, and Pareto frontiers are marked
 // per plan on (cost-per-million-requests, p99).
 func RunCost(opts CostOptions) (*CostResult, error) {
-	res, err := runPopulation(opts, 0)
+	res, err := runPopulation(opts)
 	if err != nil {
 		return nil, fmt.Errorf("cost: %w", err)
 	}
@@ -353,9 +377,9 @@ func RunCost(opts CostOptions) (*CostResult, error) {
 }
 
 // runPopulation is the one population replay behind both the cost sweep
-// and its keep-alive preset, the tenants sweep. With top > 0 it also keeps
-// each policy's top worst tenants by p99.
-func runPopulation(opts CostOptions, top int) (*CostResult, error) {
+// and its keep-alive preset, the tenants sweep. With opts.top > 0 it also
+// keeps each policy's top worst tenants by p99.
+func runPopulation(opts CostOptions) (*CostResult, error) {
 	opts = opts.normalized()
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -367,7 +391,7 @@ func runPopulation(opts CostOptions, top int) (*CostResult, error) {
 		func(sh runner.Shard) (*populationShard, error) {
 			pol := opts.Policies[sh.Index/opts.Shards]
 			shardIdx := sh.Index % opts.Shards
-			return runPopulationShard(opts, pop, pol, shardIdx, top > 0)
+			return runPopulationShard(opts, pop, pol, shardIdx, opts.top > 0)
 		})
 	if err != nil {
 		return nil, err
@@ -424,7 +448,7 @@ func runPopulation(opts CostOptions, top int) (*CostResult, error) {
 		if point.sketch.Count() > 0 {
 			point.Latency = point.sketch.Summarize()
 		}
-		if top > 0 {
+		if opts.top > 0 {
 			// Tenants live in exactly one shard, so the concatenation holds
 			// each exactly once; sort by p99 descending, name-tie-broken.
 			sort.Slice(point.worst, func(i, j int) bool {
@@ -434,8 +458,8 @@ func runPopulation(opts CostOptions, top int) (*CostResult, error) {
 				}
 				return a.Name < b.Name
 			})
-			if len(point.worst) > top {
-				point.worst = point.worst[:top]
+			if len(point.worst) > opts.top {
+				point.worst = point.worst[:opts.top]
 			}
 		}
 		if opts.Workflow != "" {

@@ -243,6 +243,15 @@ func TestCostValidation(t *testing.T) {
 		"neg-slacktick":  func(o *CostOptions) { o.SlackTick = -1 },
 		"bad-alpha":      func(o *CostOptions) { o.Alpha = -0.5 },
 		"nan-alpha":      func(o *CostOptions) { o.Alpha = math.NaN() },
+		// Negative options are rejected, not replaced by defaults.
+		"neg-shards":       func(o *CostOptions) { o.Shards = -2 },
+		"neg-workers":      func(o *CostOptions) { o.Workers = -3 },
+		"neg-iat-lo":       func(o *CostOptions) { o.MeanIATLo = -time.Second },
+		"neg-iat-hi":       func(o *CostOptions) { o.MeanIATLo = -time.Minute; o.MeanIATHi = -time.Second },
+		"neg-resume-delay": func(o *CostOptions) { o.ResumeDelay = -time.Second },
+		"neg-app-iat":      func(o *CostOptions) { o.Workflow = "chain-2"; o.AppIAT = -time.Second },
+		"neg-app-exec":     func(o *CostOptions) { o.Workflow = "chain-2"; o.AppExec = -time.Millisecond },
+		"neg-top":          func(o *CostOptions) { o.top = -1 },
 	} {
 		opts := base
 		opts.Policies = append([]CostPolicy(nil), base.Policies...)

@@ -87,6 +87,7 @@ func (o TenantsOptions) costOptions() CostOptions {
 		Alpha:          o.Alpha,
 		MaxConcurrency: o.MaxConcurrency,
 		SlackTick:      o.SlackTick,
+		top:            o.Top,
 	}
 }
 
@@ -160,7 +161,7 @@ type TenantsResult struct {
 // (cold-start rate, instance-seconds) frontier.
 func RunTenants(opts TenantsOptions) (*TenantsResult, error) {
 	copts := opts.costOptions()
-	res, err := runPopulation(copts, opts.Top)
+	res, err := runPopulation(copts)
 	if err != nil {
 		return nil, fmt.Errorf("tenants: %w", err)
 	}
