@@ -435,7 +435,7 @@ func (fn *Function) scheduleEval() {
 		return
 	}
 	fn.evalScheduled = true
-	fn.c.eng.After(interval, func() {
+	fn.c.eng.CallAfter(interval, func() {
 		fn.evalScheduled = false
 		fn.maybeScale()
 	})

@@ -40,7 +40,7 @@ func (st *SimTransport) Execute(plan []PlannedRequest) ([]Sample, error) {
 			return nil, fmt.Errorf("core: no simulated cloud for provider %q", pr.Endpoint.Provider)
 		}
 		slot := &samples[i]
-		st.eng.At(base+pr.At, func() {
+		st.eng.CallAt(base+pr.At, func() {
 			start := st.eng.Now()
 			req := &cloud.Request{
 				Fn:                pr.Endpoint.Function,
