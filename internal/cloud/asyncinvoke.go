@@ -18,7 +18,17 @@ import (
 // every p.Sleep(d) in Invoke maps to exactly one CallAfter(d, step) here,
 // every Signal fire/timeout to exactly one Call, and all side effects (RNG
 // draws, metrics, instance pool transitions, tracer spans) happen at the
-// same virtual instant and the same scheduling sequence position. That
+// same virtual instant and the same scheduling sequence position.
+//
+// Both forms fold the hops that draw nothing and touch no shared state:
+// overhead plus execution is one event (serveOn → execDone; one p.Sleep in
+// serve when no storage payload is fetched), and the response path plus
+// the return propagation leg is another (execDone → finish; one p.Sleep in
+// Invoke's egress). A warm request thus costs six events: begin, frontend,
+// admit, acquire, execDone and finish. The spans and the ".recv" timestamp
+// inside a folded hop are computed from its start (busyStart+Overhead,
+// now-RTT/2), so each keeps its exact instant. frontend, admit and acquire
+// stay separate: they draw from rngIngress or read inflight. That
 // parity is what makes the two forms byte-identical under any interleaving
 // — equal-timestamp events tie-break on sequence number, which decides the
 // order concurrent requests draw from the shared ingress/instance RNG
@@ -129,10 +139,13 @@ func (c *Cloud) callbackEligible(req *Request, fn *Function) bool {
 // exactly once, at the virtual instant the response reaches the client.
 // The request begins at the current instant (like Spawn, execution starts
 // when the engine reaches it). Callback-eligible requests run as a callback
-// chain with zero goroutine switches and zero steady-state allocations;
-// every other request runs the Invoke proc. Both forms produce identical
-// schedules, and Invoke is the reference the cloud tests compare the
-// callback form against (see TestInvokeAsyncMatchesInvoke).
+// chain of six events with zero goroutine switches and zero steady-state
+// allocations; every other request runs the Invoke proc. Both forms
+// produce identical schedules, and Invoke is the reference the cloud tests
+// compare the callback form against (see TestInvokeAsyncMatchesInvoke).
+//
+// req is copied before InvokeAsync returns and is not retained, so the
+// caller may reuse it or keep it on its stack.
 //
 // The *Response passed to done is only valid for the duration of the call:
 // the fast path recycles it, and its Timestamps map is nil (intra-function

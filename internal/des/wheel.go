@@ -12,10 +12,12 @@ import (
 // with the constant dominated by pointer-chasing sifts once the heap holds
 // hundreds of thousands of events. Provider-scale multi-tenant replay is
 // exactly that regime: every idle instance of every tenant holds a live
-// keep-alive timer, and every warm invocation cancels one and re-arms it.
-// Those timers do not need nanosecond placement — a keep-alive of minutes
-// is semantically unchanged by firing up to one tick late — so they can
-// live on a classic two-level timing wheel instead:
+// keep-alive timer. Expiry is lazy (reuse moves the instance's deadline,
+// not its timer), so each instance arms about one timer per keep-alive
+// window rather than one per warm invocation, but the timers stay many.
+// They do not need nanosecond placement — a keep-alive of minutes is
+// semantically unchanged by firing up to one tick late — so they can live
+// on a classic two-level timing wheel instead:
 //
 //   - Level 0: 256 slots of one tick each (the next 255 ticks).
 //   - Level 1: 64 slots of 256 ticks each (up to ~16k ticks out).
