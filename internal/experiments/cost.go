@@ -391,7 +391,7 @@ func runPopulation(opts CostOptions) (*CostResult, error) {
 		func(sh runner.Shard) (*populationShard, error) {
 			pol := opts.Policies[sh.Index/opts.Shards]
 			shardIdx := sh.Index % opts.Shards
-			return runPopulationShard(opts, pop, pol, shardIdx, opts.top > 0)
+			return runPopulationShard(opts, pop, pol, shardIdx)
 		})
 	if err != nil {
 		return nil, err
@@ -523,8 +523,8 @@ func paretoFront[X, Y cmp.Ordered](n int, at func(i int) (X, Y)) []bool {
 // control-plane policy. The shard seed ignores the policy index on purpose:
 // every policy sees identical arrivals and execution draws, isolating the
 // control plane as the only difference between frontier points. With
-// perTenant set it also reports one TenantStat per tenant.
-func runPopulationShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx int, perTenant bool) (*populationShard, error) {
+// opts.top > 0 it also reports one TenantStat per tenant.
+func runPopulationShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx int) (*populationShard, error) {
 	cfg, err := providers.Get(opts.Provider)
 	if err != nil {
 		return nil, err
@@ -673,7 +673,7 @@ func runPopulationShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shar
 			return nil, fmt.Errorf("shard %d: %s has no usage", shardIdx, tr.name)
 		}
 		tenantSum.Add(u)
-		if perTenant {
+		if opts.top > 0 {
 			stat := TenantStat{
 				Name:        tr.name,
 				Invocations: tm.Invocations,

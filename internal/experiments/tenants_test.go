@@ -56,7 +56,7 @@ func TestTenantsSingleTenantMatchesDirectShard(t *testing.T) {
 	}
 	copts := opts.costOptions().normalized()
 	pop := synthesizeTenants(copts)
-	direct, err := runPopulationShard(copts, pop, copts.Policies[0], 0, true)
+	direct, err := runPopulationShard(copts, pop, copts.Policies[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
