@@ -60,12 +60,14 @@ func BenchmarkColdInvoke(b *testing.B) {
 	eng.Run(0)
 }
 
-// benchKeepAliveChurn measures the keep-alive cancel/refresh cost of a warm
-// invocation against a realistic timer population: a fleet of idle instances
-// (each holding a pending expiry timer) sits in the background while one hot
-// function churns claim-cancel / release-re-arm per request. In heap mode
-// every churn op pays an indexed removal and push against the whole fleet's
-// timers; with slack > 0 the expiries live on the timer wheel instead.
+// benchKeepAliveChurn measures a warm invocation against a realistic timer
+// population: a fleet of idle instances (each holding a pending expiry
+// timer) sits in the background while one hot function serves request
+// after request on its warm instance. Keep-alive expiry is lazy (reuse
+// moves the instance's deadline, not its timer), so the hot instance
+// re-arms at most once per keep-alive window. In heap mode the fleet's
+// timers deepen the heap every request's events sift through; with
+// slack > 0 the expiries live on the timer wheel instead.
 func benchKeepAliveChurn(b *testing.B, slack time.Duration) {
 	const fleet = 2000
 	cfg := testConfig()

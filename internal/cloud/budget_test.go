@@ -8,9 +8,10 @@ import (
 // TestWarmRequestEventBudget pins the engine work of a warm callback-form
 // invocation through des.Engine.Stats: n spaced requests reuse one idle
 // instance under a fixed keep-alive, and the counters are read around them,
-// minus the test's own n arrival events. Events, cancels and armed timers
-// are deterministic, so a pipeline change that adds a hop or a timer fails
-// here on any machine; lowering a pin is a deliberate, recorded change.
+// minus the test's own n arrival events. Events, cancels, armed timers and
+// spawned procs are deterministic, so a pipeline change that adds a hop, a
+// timer or a goroutine fails here on any machine; lowering a pin is a
+// deliberate, recorded change.
 func TestWarmRequestEventBudget(t *testing.T) {
 	const (
 		n         = 100
@@ -50,12 +51,14 @@ func TestWarmRequestEventBudget(t *testing.T) {
 	// (overhead and exec folded) and finish (response path and return leg
 	// folded). Reuse cancels nothing; the one keep-alive timer re-arms at
 	// most once per keep-alive window, and each re-arm is one more event.
+	// A warm request runs as callbacks and spawns no proc.
 	events := after.Events - before.Events - n
 	canceled := after.TimersCanceled - before.TimersCanceled
 	armed := after.TimersArmed - before.TimersArmed
+	procs := after.ProcsSpawned - before.ProcsSpawned
 	windows := uint64((end - warmAt + keepAlive - 1) / keepAlive)
-	if events != 6*n+armed || canceled != 0 || armed > windows {
-		t.Fatalf("per %d warm requests: %d events, %d cancels, %d timers armed; want 6 per request plus one per re-arm, 0 cancels and at most %d re-arms",
-			n, events, canceled, armed, windows)
+	if events != 6*n+armed || canceled != 0 || armed > windows || procs != 0 {
+		t.Fatalf("per %d warm requests: %d events, %d cancels, %d timers armed, %d procs spawned; want 6 per request plus one per re-arm, 0 cancels, at most %d re-arms and 0 procs",
+			n, events, canceled, armed, procs, windows)
 	}
 }

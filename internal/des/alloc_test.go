@@ -8,15 +8,17 @@ import (
 // TestPendingEventsBoundedUnderTimeoutChurn is the observable fix for the
 // canceled-timer heap leak: under the seed engine's lazy cancellation, every
 // WaitTimeout whose signal won left a dead one-hour timer in the heap until
-// its distant deadline popped, so churning cancel/fire cycles grew
-// PendingEvents without bound (and real-time engines carried the garbage
-// forever). Indexed removal deletes the event at Cancel, so the schedule
-// stays a handful of entries deep no matter how many cycles run.
+// its distant deadline popped, so churning cancel/fire cycles grew the heap
+// without bound (and real-time engines carried the garbage forever).
+// Cancellation is lazy again, but compaction rebuilds the heap once dead
+// entries outnumber 64 and half of it, so the live count stays a handful and
+// the heap array stays within twice the live high-water mark plus 65 entries
+// no matter how many cycles run.
 func TestPendingEventsBoundedUnderTimeoutChurn(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	const rounds = 5000
-	maxPending := 0
+	maxPending, maxHeap := 0, 0
 	e.Spawn("churn", func(p *Proc) {
 		for i := 0; i < rounds; i++ {
 			sig := NewSignal(e)
@@ -25,18 +27,21 @@ func TestPendingEventsBoundedUnderTimeoutChurn(t *testing.T) {
 				t.Error("signal should win every round")
 				return
 			}
-			if pe := e.PendingEvents(); pe > maxPending {
-				maxPending = pe
-			}
+			maxPending = max(maxPending, e.PendingEvents())
+			maxHeap = max(maxHeap, len(e.events))
 		}
 	})
 	e.Run(0)
 	if maxPending > 8 {
-		t.Fatalf("canceled timers leaked into the heap: max PendingEvents = %d over %d cancel/fire cycles",
+		t.Fatalf("canceled timers counted as pending: max PendingEvents = %d over %d cancel/fire cycles",
 			maxPending, rounds)
 	}
-	if e.PendingEvents() != 0 {
-		t.Fatalf("%d events left after drain", e.PendingEvents())
+	if limit := 2*e.Stats().PeakPending + 65; maxHeap > limit {
+		t.Fatalf("canceled timers leaked into the heap: its array reached %d entries over %d cancel/fire cycles, above 2·PeakPending+65 = %d",
+			maxHeap, rounds, limit)
+	}
+	if e.PendingEvents() != 0 || len(e.events) != 0 {
+		t.Fatalf("%d events (%d heap entries) left after drain", e.PendingEvents(), len(e.events))
 	}
 }
 
@@ -118,7 +123,7 @@ func TestAllocFreeProcessSwitch(t *testing.T) {
 	}
 }
 
-// TestAllocFreeTimerCancel: schedule + indexed cancel churn.
+// TestAllocFreeTimerCancel: schedule + lazy cancel churn.
 func TestAllocFreeTimerCancel(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 )
@@ -40,9 +41,9 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	e.Run(0)
 }
 
-// BenchmarkTimerCancel measures the schedule + indexed-cancel round trip —
-// the keep-alive pattern of the cloud model (every warm hit arms and later
-// cancels an expiry timer).
+// BenchmarkTimerCancel measures the schedule + cancel round trip of a heap
+// timer: an O(log n) push, an O(1) lazy cancel, and a share of the
+// compaction that drops the dead entries once they outnumber the live ones.
 func BenchmarkTimerCancel(b *testing.B) {
 	e := NewEngine()
 	defer e.Close()
@@ -68,9 +69,9 @@ func BenchmarkSpawnExit(b *testing.B) {
 }
 
 // BenchmarkWaitTimeoutChurn measures WaitTimeout where the signal wins —
-// the gateway queue-timeout pattern. Under lazy cancellation every
-// iteration leaked a dead far-future timer into the heap, so this bench
-// also exercises the indexed-removal path.
+// the gateway queue-timeout pattern. Every iteration leaves a dead
+// far-future timer in the heap, so this bench also exercises compaction,
+// which keeps those entries from piling up.
 func BenchmarkWaitTimeoutChurn(b *testing.B) {
 	e := NewEngine()
 	defer e.Close()
@@ -155,10 +156,12 @@ func BenchmarkResourceContention(b *testing.B) {
 // steady arrival stream cancels one and re-arms it per operation, plus the
 // natural trickle of expiries. The driver tick is a cancelable heap timer
 // on purpose: cancelable events are never front-cached, so in heap mode
-// every operation pays a push/pop against the full 100k-event heap — the
-// honest cost the wheel is built to remove. With slack > 0 the keep-alives
-// move to the timer wheel and the heap holds only the driver and the
-// wheel's alarm.
+// every operation pays two O(log n) pushes against the full 100k-event heap
+// (the re-armed keep-alive fills the root hole the tick leaves, the next
+// tick sifts up), and the canceled keep-alives ride along as dead entries
+// until compaction — the honest cost the wheel is built to remove. With
+// slack > 0 the keep-alives move to the timer wheel and the heap holds
+// only the tick and the wheel's alarm.
 func benchmarkKeepAliveTimers(b *testing.B, slack time.Duration) {
 	const live = 100_000
 	const life = 10 * time.Minute // well under the wheel horizon at 100ms ticks
@@ -193,8 +196,10 @@ func benchmarkKeepAliveTimers(b *testing.B, slack time.Duration) {
 		}
 	}
 	// Warm-up: grow the heap, handle table, and wheel node array to their
-	// high-water marks so the timed region measures steady state.
-	stop = 200
+	// high-water marks so the timed region measures steady state. Canceled
+	// heap timers stay behind as dead entries until they outnumber the live
+	// ones, so the heap array peaks only after one full round of cancels.
+	stop = live + 200
 	e.After(time.Millisecond, tick)
 	e.Run(e.Now() + time.Duration(stop+1)*time.Millisecond)
 	n, stop = 0, b.N
@@ -237,5 +242,106 @@ func BenchmarkCallbackChain(b *testing.B) {
 	e.Run(0)
 	if count != b.N {
 		b.Fatalf("fired %d of %d", count, b.N)
+	}
+}
+
+// popChain is one arrival's callback chain in BenchmarkPopulationQueue,
+// recycled through a free list so the timed region allocates nothing.
+type popChain struct {
+	hop  int
+	step func()
+}
+
+// popKeeper is one keep-alive timer in BenchmarkPopulationQueue: reuse
+// moves the deadline, and the timer re-arms at it when it fires early.
+type popKeeper struct {
+	deadline Time
+	armed    bool
+	fire     func()
+}
+
+// BenchmarkPopulationQueue is the tenants replay's event queue in miniature:
+// about 2k far-future events — self-rescheduling arrival streams with seeded
+// exponential gaps, plus a few hundred keep-alive timers re-armed lazily at
+// a stored deadline — under a 5-hop, millisecond-scale callback chain per
+// arrival. One op is one arrival with its chain.
+func BenchmarkPopulationQueue(b *testing.B) {
+	const (
+		streams   = 1800
+		keepers   = 300
+		meanGap   = 2 * time.Second
+		keepAlive = 10 * time.Second
+		hops      = 5
+	)
+	e := NewEngine()
+	defer e.Close()
+	rng := rand.New(rand.NewPCG(1, 2))
+	arrivals, target := 0, -1
+	stopped := false
+
+	var free []*popChain
+	newChain := func() *popChain {
+		c := &popChain{}
+		c.step = func() {
+			c.hop++
+			if c.hop < hops {
+				e.CallAfter(time.Duration(1+rng.IntN(2000))*time.Microsecond, c.step)
+				return
+			}
+			free = append(free, c)
+		}
+		return c
+	}
+
+	keep := make([]popKeeper, keepers)
+	for i := range keep {
+		k := &keep[i]
+		k.fire = func() {
+			if !stopped && k.deadline > e.Now() {
+				e.At(k.deadline, k.fire)
+				return
+			}
+			k.armed = false
+		}
+	}
+
+	fns := make([]func(), streams)
+	for s := range fns {
+		k := &keep[s%keepers]
+		fns[s] = func() {
+			arrivals++
+			if arrivals == target {
+				b.StopTimer()
+				stopped = true
+			}
+			if stopped {
+				return
+			}
+			e.CallAfter(time.Duration(rng.ExpFloat64()*float64(meanGap)), fns[s])
+			k.deadline = e.Now() + keepAlive
+			if !k.armed {
+				k.armed = true
+				e.At(k.deadline, k.fire)
+			}
+			var c *popChain
+			if n := len(free); n > 0 {
+				c = free[n-1]
+				free = free[:n-1]
+			} else {
+				c = newChain()
+			}
+			c.hop = 0
+			e.CallAfter(time.Duration(1+rng.IntN(2000))*time.Microsecond, c.step)
+		}
+		e.CallAfter(time.Duration(rng.ExpFloat64()*float64(meanGap)), fns[s])
+	}
+	// Warm-up: reach the steady-state heap, handle table and chain pool.
+	e.Run(30 * time.Second)
+	target = arrivals + b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(0)
+	if arrivals < target {
+		b.Fatalf("ran %d of %d arrivals", arrivals-(target-b.N), b.N)
 	}
 }

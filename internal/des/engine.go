@@ -1,9 +1,9 @@
 // Package des implements a deterministic discrete-event simulation engine.
 //
-// The engine advances a virtual clock over an indexed 4-ary min-heap of
-// scheduled events stored by value and keyed by (at, seq): events at equal
-// times are tie-broken by scheduling sequence number, so every run with the
-// same inputs produces the same event ordering. Concurrent activities are
+// The engine advances a virtual clock over a 4-ary min-heap of scheduled
+// events stored by value and keyed by (at, seq): events at equal times are
+// tie-broken by scheduling sequence number, so every run with the same
+// inputs produces the same event ordering. Concurrent activities are
 // modeled as cooperative processes: each process is a goroutine, but a
 // single control token guarantees that at most one process (or event
 // callback) runs at any instant, so state shared between processes needs no
@@ -15,11 +15,19 @@
 //   - Events are values in a reusable heap array — no per-event heap
 //     allocation. Process-resume events carry the *Proc directly instead of
 //     a closure, so Sleep/Wait/Acquire wake-ups allocate nothing.
+//   - Dispatch leaves a hole at the heap root instead of refilling it, and
+//     the next push fills the hole with one sift down from the root. A
+//     callback that schedules its successor therefore costs one sift, not
+//     a sift down (pop) plus a sift up (push). Whatever needs the true
+//     minimum first settles the hole: tail to root, then sift down.
 //   - Cancelable timers (At/After) draw a generation-counted handle from a
-//     free list. The handle tracks the event's heap index, so Cancel removes
-//     the event from the heap immediately (sift at its index) instead of
-//     leaving a tombstone to be popped later; a Timer from a previous
-//     generation can never cancel a reused handle.
+//     free list, and a heap timer event carries the generation it was armed
+//     with. Cancel bumps the generation in O(1) and leaves the event in the
+//     heap as a dead entry, discarded when it reaches the root. Once dead
+//     entries outnumber 64 and half the heap, the heap is rebuilt without
+//     them, so the array never holds more than twice the live high-water
+//     mark plus 65 entries. A Timer from a previous generation can never
+//     cancel a reused handle.
 //   - The control token travels with the goroutines themselves: a parking
 //     process drives the dispatch loop inline, so a process that pops its
 //     own resume event (the ubiquitous Sleep path) switches with zero
@@ -60,20 +68,25 @@ type event struct {
 	seq  uint64
 	fn   func()
 	proc *Proc
-	// hid is the timer-handle slot tracking this event's heap index, or -1
-	// for events that can never be canceled (process resumes, injected work).
+	// hid is the timer-handle slot of a cancelable event, or -1 for events
+	// that can never be canceled (process resumes, plain callbacks, injected
+	// work). gen is the handle generation the timer was armed with: the
+	// event is dead, and is skipped, once the handle's generation moves on.
 	hid int32
+	gen uint32
 }
 
 // timerHandle is one slot of the engine's cancelable-timer table. Slots are
 // recycled through a free list; gen increments on every fire/cancel so stale
-// Timer copies referring to a recycled slot are inert. Heap timers and
-// slack-wheel timers (wheel.go) share this table, so a Timer value is the
-// same opaque handle either way: wheel marks which structure idx indexes.
+// Timer copies referring to a recycled slot are inert, and a Timer is
+// pending exactly while its generation matches. Heap timers and slack-wheel
+// timers (wheel.go) share this table, so a Timer value is the same opaque
+// handle either way. A canceled heap timer keeps its slot until its dead
+// event leaves the heap, so the slot's generation cannot move on while an
+// event still carries it.
 type timerHandle struct {
-	gen   uint32
-	idx   int32 // heap index or wheel node index of the live event, -1 when fired/canceled
-	wheel bool  // idx indexes the timer wheel's node array, not the heap
+	gen  uint32
+	node int32 // timer wheel node index of a pending slack timer, else -1
 }
 
 // Timer is a handle to a scheduled callback that can be canceled. The zero
@@ -84,47 +97,54 @@ type Timer struct {
 	gen uint32
 }
 
-// Cancel prevents the timer's callback from firing, removing the event from
-// the schedule immediately. Canceling an already fired, canceled, or zero
-// Timer is a no-op. Cancel reports whether the callback was prevented.
+// Cancel prevents the timer's callback from firing, in O(1): a heap timer's
+// event stays behind as a dead entry that the heap discards when it reaches
+// the root or at the next compaction, and a wheel timer is unlinked at once.
+// Canceling an already fired, canceled, or zero Timer is a no-op. Cancel
+// reports whether the callback was prevented.
 func (t Timer) Cancel() bool {
 	e := t.eng
 	if e == nil {
 		return false
 	}
 	h := &e.handles[t.id]
-	if h.gen != t.gen || h.idx < 0 {
+	if h.gen != t.gen {
 		return false
 	}
-	if h.wheel {
-		e.wheel.unlink(h.idx)
-		h.wheel = false
-	} else {
-		e.removeAt(int(h.idx))
-	}
-	h.idx = -1
 	h.gen++
-	e.freeHandles = append(e.freeHandles, t.id)
 	e.stats.TimersCanceled++
+	if h.node >= 0 {
+		e.wheel.unlink(h.node)
+		h.node = -1
+		e.freeHandles = append(e.freeHandles, t.id)
+		return true
+	}
+	e.dead++
+	if e.dead > compactMin && 2*e.dead > len(e.events) {
+		e.compact()
+	}
 	return true
 }
 
 // Pending reports whether the timer's callback is still scheduled.
 func (t Timer) Pending() bool {
-	if t.eng == nil {
-		return false
-	}
-	h := &t.eng.handles[t.id]
-	return h.gen == t.gen && h.idx >= 0
+	return t.eng != nil && t.eng.handles[t.id].gen == t.gen
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not usable;
 // call NewEngine.
 type Engine struct {
 	now    Time
-	events []event // 4-ary min-heap by (at, seq), indexed via handles
+	events []event // 4-ary min-heap by (at, seq); see vacant and dead
 	seq    uint64
 	until  Time // horizon of the active Run, 0 = unbounded
+
+	// vacant marks events[0] as a hole left by pop: the rest of the array
+	// is up to four valid sub-heaps, which the next push joins by writing
+	// into the hole and sifting down, and settle joins otherwise.
+	vacant bool
+	// dead counts canceled timer events still in the heap array.
+	dead int
 
 	handles     []timerHandle
 	freeHandles []int32
@@ -139,9 +159,9 @@ type Engine struct {
 	// traffic. Straight-line event chains — a callback-form warm invocation,
 	// a process sleeping through consecutive pipeline stages — are exactly
 	// this pattern, so the cache removes a push/sift/pop/sift round per
-	// chain hop. Invariant: when hasNext is set, next precedes every heap
-	// event in (at, seq) order. Only uncancelable events are cached (timer
-	// handles track heap indices); real-time mode bypasses the cache
+	// chain hop. Invariant: when hasNext is set, next precedes every live
+	// heap event in (at, seq) order. Only uncancelable events are cached, so
+	// the cached event is never dead; real-time mode bypasses the cache
 	// because its run loop peeks the heap root for wall pacing.
 	next    event
 	hasNext bool
@@ -168,11 +188,19 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the virtual clock at zero.
+//
+// The heap and timer-handle arrays start with room for 64 entries, so a
+// small simulation never grows them from deep inside a process goroutine's
+// call chain, where the growth would also force that goroutine's stack to
+// be copied.
 func NewEngine() *Engine {
 	return &Engine{
-		mainWake: make(chan struct{}),
-		procs:    make(map[*Proc]struct{}),
-		injectCh: make(chan struct{}, 1),
+		events:      make([]event, 0, 64),
+		handles:     make([]timerHandle, 0, 64),
+		freeHandles: make([]int32, 0, 64),
+		mainWake:    make(chan struct{}),
+		procs:       make(map[*Proc]struct{}),
+		injectCh:    make(chan struct{}, 1),
 	}
 }
 
@@ -194,129 +222,18 @@ func NewRealTimeEngine(timeScale float64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// --- 4-ary indexed heap -----------------------------------------------------
+// --- 4-ary heap with a root hole and lazy deletion ---------------------------
 //
 // The heap stores events by value; children of slot i live at 4i+1..4i+4.
 // A 4-ary layout halves tree depth versus binary, trading slightly wider
 // sibling scans (cache-friendly: four 40-byte events span two or three cache
-// lines) for fewer swap levels. Every move of an event with a handle updates
-// the handle's idx, which is what makes O(log n) removal at Cancel possible.
+// lines) for fewer swap levels. Sifts move events only: no side table tracks
+// heap positions, because canceled timers are deleted lazily (dead entries).
 
-// less orders events by (at, seq).
-func (e *Engine) less(i, j int) bool {
-	a, b := &e.events[i], &e.events[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// noteIdx records ev's current heap slot in its timer handle, if any.
-func (e *Engine) noteIdx(i int) {
-	if h := e.events[i].hid; h >= 0 {
-		e.handles[h].idx = int32(i)
-	}
-}
-
-// siftUp moves the event at slot i toward the root until ordered.
-func (e *Engine) siftUp(i int) {
-	ev := e.events[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := &e.events[parent]
-		if p.at < ev.at || (p.at == ev.at && p.seq < ev.seq) {
-			break
-		}
-		e.events[i] = *p
-		e.noteIdx(i)
-		i = parent
-	}
-	e.events[i] = ev
-	e.noteIdx(i)
-}
-
-// siftDown moves the event at slot i toward the leaves until ordered.
-func (e *Engine) siftDown(i int) {
-	n := len(e.events)
-	ev := e.events[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(c, min) {
-				min = c
-			}
-		}
-		m := &e.events[min]
-		if ev.at < m.at || (ev.at == m.at && ev.seq < m.seq) {
-			break
-		}
-		e.events[i] = *m
-		e.noteIdx(i)
-		i = min
-	}
-	e.events[i] = ev
-	e.noteIdx(i)
-}
-
-// push appends an event and restores heap order.
-func (e *Engine) push(ev event) {
-	e.stats.HeapPushes++
-	e.events = append(e.events, ev)
-	e.siftUp(len(e.events) - 1)
-}
-
-// pop removes and returns the minimum event. The vacated tail slot is
-// cleared so recycled array capacity does not retain closures or processes.
-func (e *Engine) pop() event {
-	ev := e.events[0]
-	n := len(e.events) - 1
-	if n > 0 {
-		e.events[0] = e.events[n]
-	}
-	e.events[n] = event{}
-	e.events = e.events[:n]
-	if n > 1 {
-		e.siftDown(0)
-	} else if n == 1 {
-		e.noteIdx(0)
-	}
-	if ev.hid >= 0 {
-		h := &e.handles[ev.hid]
-		h.idx = -1
-		h.gen++
-		e.freeHandles = append(e.freeHandles, ev.hid)
-	}
-	return ev
-}
-
-// removeAt deletes the event at heap slot i (timer cancellation), restoring
-// heap order with a sift from that index.
-func (e *Engine) removeAt(i int) {
-	n := len(e.events) - 1
-	moved := e.events[n]
-	e.events[n] = event{}
-	e.events = e.events[:n]
-	if i == n {
-		return
-	}
-	e.events[i] = moved
-	e.siftUp(i)
-	// seq is unique: if siftUp left the filler in place, order below i may
-	// still be violated, so sift down from the same slot.
-	if e.events[i].seq == moved.seq {
-		e.siftDown(i)
-	}
-}
-
-// --- scheduling -------------------------------------------------------------
+// compactMin is the number of dead entries the heap tolerates before a
+// Cancel considers compaction; above it, compaction runs once dead entries
+// also make up more than half the array.
+const compactMin = 64
 
 // eventBefore orders two events by (at, seq).
 func eventBefore(a, b *event) bool {
@@ -326,10 +243,189 @@ func eventBefore(a, b *event) bool {
 	return a.seq < b.seq
 }
 
+// live reports whether a heap event is still scheduled: uncancelable, or a
+// timer whose handle has not moved to a later generation.
+func (e *Engine) live(ev *event) bool {
+	return ev.hid < 0 || e.handles[ev.hid].gen == ev.gen
+}
+
+// siftUp places ev at slot i and moves it toward the root until ordered.
+func (e *Engine) siftUp(i int, ev event) {
+	h := e.events
+	for i > 0 {
+		parent := int(uint(i-1) / 4)
+		p := &h[parent]
+		if p.at < ev.at || (p.at == ev.at && p.seq < ev.seq) {
+			break
+		}
+		h[i] = *p
+		i = parent
+	}
+	h[i] = ev
+}
+
+// siftDown places ev at slot i and moves it toward the leaves until
+// ordered. The running minimum child's key stays in locals, so each level
+// reads every child's (at, seq) once.
+func (e *Engine) siftDown(i int, ev event) {
+	h := e.events
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m, mat, mseq := c, h[c].at, h[c].seq
+		for c++; c < end; c++ {
+			if at := h[c].at; at < mat || (at == mat && h[c].seq < mseq) {
+				m, mat, mseq = c, at, h[c].seq
+			}
+		}
+		if ev.at < mat || (ev.at == mat && ev.seq < mseq) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = ev
+}
+
+// push inserts an event: into the root hole when one is open (one sift
+// down from the root), else appended at the tail and sifted up.
+func (e *Engine) push(ev event) {
+	e.stats.HeapPushes++
+	if e.vacant {
+		e.vacant = false
+		e.siftDown(0, ev)
+		return
+	}
+	e.events = append(e.events, ev)
+	e.siftUp(len(e.events)-1, ev)
+}
+
+// settle closes the root hole: the tail event moves to the root and sifts
+// down. The vacated tail slot is cleared so recycled array capacity does
+// not retain closures or processes.
+func (e *Engine) settle() {
+	e.vacant = false
+	n := len(e.events) - 1
+	tail := e.events[n]
+	e.events[n] = event{}
+	e.events = e.events[:n]
+	if n > 0 {
+		e.siftDown(0, tail)
+	}
+}
+
+// top makes events[0] the live heap minimum: it settles an open hole and
+// discards dead entries that surface at the root, returning their handle
+// slots to the free list. It reports false when no live heap event remains.
+func (e *Engine) top() bool {
+	for {
+		if e.vacant {
+			e.settle()
+		}
+		if len(e.events) == 0 {
+			return false
+		}
+		ev := &e.events[0]
+		if e.live(ev) {
+			return true
+		}
+		e.dead--
+		e.freeHandles = append(e.freeHandles, ev.hid)
+		e.vacant = true
+	}
+}
+
+// pop removes and returns the heap minimum, leaving a hole at the root for
+// the next push or settle. The caller has made events[0] the live minimum
+// with top. A fired timer's handle moves to the next generation, which
+// makes its Timer values stale.
+func (e *Engine) pop() event {
+	ev := e.events[0]
+	e.vacant = true
+	if ev.hid >= 0 {
+		e.handles[ev.hid].gen++
+		e.freeHandles = append(e.freeHandles, ev.hid)
+	}
+	return ev
+}
+
+// compact rebuilds the heap without its dead entries (and without an open
+// hole) in O(n). Cancel runs it only once dead entries outnumber
+// compactMin and half the array, so its cost is amortized O(1) per Cancel.
+func (e *Engine) compact() {
+	h := e.events
+	i := 0
+	if e.vacant {
+		i, e.vacant = 1, false
+	}
+	n := 0
+	for ; i < len(h); i++ {
+		ev := &h[i]
+		if !e.live(ev) {
+			e.freeHandles = append(e.freeHandles, ev.hid)
+			continue
+		}
+		h[n] = *ev
+		n++
+	}
+	clear(h[n:])
+	e.events = h[:n]
+	e.dead = 0
+	if n > 1 {
+		for k := (n - 2) / 4; k >= 0; k-- {
+			e.siftDown(k, h[k])
+		}
+	}
+}
+
+// precedesHeap reports whether ev precedes every live heap event. While a
+// hole is open the heap minimum is the least of the root's children. A dead
+// entry in front is discarded with top and the test repeated, so the answer,
+// and with it the front cache's admissions, depends on live events alone.
+func (e *Engine) precedesHeap(ev *event) bool {
+	for {
+		h := e.events
+		m := 0
+		if e.vacant {
+			end := len(h)
+			if end > 5 {
+				end = 5
+			}
+			if end < 2 {
+				return true
+			}
+			m = 1
+			for c := 2; c < end; c++ {
+				if eventBefore(&h[c], &h[m]) {
+					m = c
+				}
+			}
+		} else if len(h) == 0 {
+			return true
+		}
+		if eventBefore(ev, &h[m]) {
+			return true
+		}
+		if e.live(&h[m]) {
+			return false
+		}
+		e.top()
+	}
+}
+
+// --- scheduling -------------------------------------------------------------
+
 // enqueue places a freshly sequenced event into the schedule: the front
 // cache when it precedes everything pending, the heap otherwise. Cancelable
-// timers always live in the heap (their handles track heap indices), which
-// may require evicting a cached event that no longer holds the minimum.
+// timers always live in the heap, which may require evicting a cached event
+// that no longer holds the minimum.
 func (e *Engine) enqueue(ev event) {
 	switch {
 	case e.realTime || ev.hid >= 0:
@@ -340,7 +436,7 @@ func (e *Engine) enqueue(ev event) {
 		}
 		e.push(ev)
 	case !e.hasNext:
-		if len(e.events) == 0 || eventBefore(&ev, &e.events[0]) {
+		if len(e.events) == 0 || e.precedesHeap(&ev) {
 			e.next, e.hasNext = ev, true
 		} else {
 			e.push(ev)
@@ -362,7 +458,8 @@ func (e *Engine) notePending() {
 }
 
 // popNext removes and returns the minimum pending event: the front cache
-// when occupied (the invariant makes it the minimum), else the heap root.
+// when occupied (the invariant makes it the minimum), else the heap root,
+// which atHorizon has made the live minimum.
 func (e *Engine) popNext() event {
 	e.stats.Events++
 	if e.hasNext {
@@ -394,25 +491,29 @@ func (e *Engine) scheduleProc(at Time, p *Proc) {
 	e.enqueue(event{at: at, seq: e.seq, proc: p, hid: -1})
 }
 
-// scheduleTimer registers a cancelable callback, drawing a handle slot from
-// the free list (growing the table only on first use at each depth).
+// scheduleTimer registers a cancelable callback under a fresh handle.
 func (e *Engine) scheduleTimer(at Time, fn func()) Timer {
 	if at < e.now {
 		at = e.now
 	}
-	var id int32
-	if n := len(e.freeHandles); n > 0 {
-		id = e.freeHandles[n-1]
-		e.freeHandles = e.freeHandles[:n-1]
-	} else {
-		id = int32(len(e.handles))
-		e.handles = append(e.handles, timerHandle{})
-	}
+	id := e.newHandle()
+	gen := e.handles[id].gen
 	e.seq++
 	e.stats.TimersArmed++
-	e.enqueue(event{at: at, seq: e.seq, fn: fn, hid: id})
-	// enqueue placed the timer in the heap and recorded its index via noteIdx.
-	return Timer{eng: e, id: id, gen: e.handles[id].gen}
+	e.enqueue(event{at: at, seq: e.seq, fn: fn, hid: id, gen: gen})
+	return Timer{eng: e, id: id, gen: gen}
+}
+
+// newHandle draws a timer-handle slot from the free list, growing the table
+// only on first use at each depth.
+func (e *Engine) newHandle() int32 {
+	if n := len(e.freeHandles); n > 0 {
+		id := e.freeHandles[n-1]
+		e.freeHandles = e.freeHandles[:n-1]
+		return id
+	}
+	e.handles = append(e.handles, timerHandle{node: -1})
+	return int32(len(e.handles) - 1)
 }
 
 // At schedules fn to run at the given virtual time and returns a cancelable
@@ -451,12 +552,13 @@ var errKilled = errors.New("des: process killed")
 
 // atHorizon reports whether dispatch must stop: no events remain, or the
 // next event lies beyond the active run's bound. The front cache, when
-// occupied, holds the minimum pending event, so it alone decides.
+// occupied, holds the minimum pending event, so it alone decides; otherwise
+// top settles the heap so that its root is the live minimum.
 func (e *Engine) atHorizon() bool {
 	if e.hasNext {
 		return e.until != 0 && e.next.at > e.until
 	}
-	return len(e.events) == 0 || (e.until != 0 && e.events[0].at > e.until)
+	return !e.top() || (e.until != 0 && e.events[0].at > e.until)
 }
 
 // Run drains events until the heap is empty or the virtual clock would pass
@@ -557,7 +659,7 @@ func (e *Engine) RunRealTime(stop <-chan struct{}) {
 		}
 		e.syncVirtualClock()
 		e.drainInjected()
-		if len(e.events) == 0 {
+		if !e.top() {
 			// Idle: wait for injection or stop.
 			select {
 			case <-stop:
@@ -572,7 +674,7 @@ func (e *Engine) RunRealTime(stop <-chan struct{}) {
 		}
 		e.syncVirtualClock()
 		e.drainInjected()
-		if len(e.events) == 0 || e.events[0].seq != next.seq {
+		if !e.top() || e.events[0].seq != next.seq {
 			continue // an injection scheduled something earlier
 		}
 		ev := e.pop()
@@ -711,6 +813,8 @@ func (e *Engine) Close() {
 	}
 	e.pool = nil
 	e.events = nil
+	e.vacant = false
+	e.dead = 0
 	e.next = event{}
 	e.hasNext = false
 	e.handles = nil
@@ -735,21 +839,30 @@ type Stats struct {
 	// TimersArmed counts cancelable timers scheduled with At, After or
 	// AfterSlack, including the slack wheel's own alarms.
 	TimersArmed uint64
+	// SlackTimersArmed is the part of TimersArmed placed on the slack
+	// wheel; AfterSlack timers beyond its horizon go to the heap instead.
+	SlackTimersArmed uint64
 	// TimersCanceled counts Cancel calls that prevented a callback.
 	TimersCanceled uint64
 	// PeakPending is the largest PendingEvents value reached.
 	PeakPending int
+	// ProcsSpawned counts Spawn calls.
+	ProcsSpawned uint64
 }
 
 // Stats returns the engine's work counters. It does not allocate.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// PendingEvents reports the number of scheduled events (including the
+// PendingEvents reports the number of scheduled live events (including the
 // front-cached one and any timers parked on the slack wheel). Canceled
-// timers are removed from the schedule immediately, so this count stays
-// bounded under timer churn (WaitTimeout cancel/fire cycles).
+// timers leave the count at Cancel, even while their dead entries wait in
+// the heap array; compaction bounds those entries, so the array stays
+// bounded under timer churn (WaitTimeout cancel/fire cycles) as well.
 func (e *Engine) PendingEvents() int {
-	n := len(e.events)
+	n := len(e.events) - e.dead
+	if e.vacant {
+		n--
+	}
 	if e.hasNext {
 		n++
 	}

@@ -39,6 +39,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		go p.run()
 	}
 	e.procs[p] = struct{}{}
+	e.stats.ProcsSpawned++
 	e.scheduleProc(e.now, p)
 	return p
 }

@@ -47,9 +47,9 @@ func (s *Signal) remove(p *Proc) bool {
 // WaitTimeout blocks until the signal fires or d elapses, reporting true
 // when the signal fired. A signal that fires at exactly the deadline wins
 // or loses by event order; either way the process resumes exactly once.
-// When the signal wins, the timeout timer is canceled and removed from the
-// schedule immediately, so churning WaitTimeout calls cannot accumulate
-// dead events in the heap.
+// When the signal wins, the timeout timer is canceled; its dead heap entry
+// is dropped by compaction, so churning WaitTimeout calls cannot grow the
+// heap without bound.
 func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
 	if s.fired {
 		return true

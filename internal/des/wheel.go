@@ -8,13 +8,15 @@ import (
 // This file implements the engine's second timer facility: a hierarchical
 // timing wheel for timers that tolerate tick-granularity slack.
 //
-// The exact 4-ary heap (engine.go) charges O(log n) per insert and cancel,
-// with the constant dominated by pointer-chasing sifts once the heap holds
-// hundreds of thousands of events. Provider-scale multi-tenant replay is
-// exactly that regime: every idle instance of every tenant holds a live
-// keep-alive timer. Expiry is lazy (reuse moves the instance's deadline,
-// not its timer), so each instance arms about one timer per keep-alive
-// window rather than one per warm invocation, but the timers stay many.
+// The exact 4-ary heap (engine.go) charges O(log n) per insert, with the
+// constant dominated by cache-missing sifts once the heap holds hundreds of
+// thousands of events, and a canceled heap timer stays behind as a dead
+// entry until the root or a compaction removes it. Provider-scale
+// multi-tenant replay is exactly that regime: every idle instance of every
+// tenant holds a live keep-alive timer. Expiry is lazy (reuse moves the
+// instance's deadline, not its timer), so each instance arms about one
+// timer per keep-alive window rather than one per warm invocation, but the
+// timers stay many.
 // They do not need nanosecond placement — a keep-alive of minutes is
 // semantically unchanged by firing up to one tick late — so they can live
 // on a classic two-level timing wheel instead:
@@ -132,23 +134,16 @@ func (w *wheel) schedule(at Time, fn func()) Timer {
 		ni = int32(len(w.nodes))
 		w.nodes = append(w.nodes, wheelNode{})
 	}
-	var id int32
-	if n := len(e.freeHandles); n > 0 {
-		id = e.freeHandles[n-1]
-		e.freeHandles = e.freeHandles[:n-1]
-	} else {
-		id = int32(len(e.handles))
-		e.handles = append(e.handles, timerHandle{})
-	}
+	id := e.newHandle()
 	h := &e.handles[id]
-	h.idx = ni
-	h.wheel = true
+	h.node = ni
 
 	nd := &w.nodes[ni]
 	nd.fn, nd.tick, nd.hid = fn, qt, id
 	w.place(ni, qt)
 	w.count++
 	e.stats.TimersArmed++
+	e.stats.SlackTimersArmed++
 	e.notePending()
 	if w.alarmTick < 0 || qt < w.alarmTick {
 		w.arm(qt)
@@ -259,8 +254,7 @@ func (w *wheel) fireSlot(t int64) {
 		fn, hid := nd.fn, nd.hid
 		w.unlink(ni)
 		h := &e.handles[hid]
-		h.idx = -1
-		h.wheel = false
+		h.node = -1
 		h.gen++
 		e.freeHandles = append(e.freeHandles, hid)
 		e.stats.Events++
