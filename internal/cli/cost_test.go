@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/stellar-repro/stellar/internal/results"
 )
@@ -153,5 +154,30 @@ func TestCostCommandBadFlags(t *testing.T) {
 	}
 	if code, _, _ := run(t, "cost", "-econ-config", filepath.Join(dir, "missing.json")); code == 0 {
 		t.Fatal("missing econ config accepted")
+	}
+}
+
+// TestCostTinyTargetFinishes: a target-1e-300 policy saturates the
+// autoscaler's decision at the default per-tenant instance cap and drains.
+// It used to convert the decision to a negative count and hang, so the
+// run is bounded here to fail instead of stalling the suite.
+func TestCostTinyTargetFinishes(t *testing.T) {
+	type result struct {
+		code   int
+		errOut string
+	}
+	done := make(chan result, 1)
+	go func() {
+		var out, errOut strings.Builder
+		code := Main([]string{"cost", "-tenants", "20", "-duration", "1m", "-policies", "target-1e-300"}, &out, &errOut)
+		done <- result{code, errOut.String()}
+	}()
+	select {
+	case r := <-done:
+		if r.code != 0 {
+			t.Fatalf("code=%d err=%q", r.code, r.errOut)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("cost -policies target-1e-300 did not finish within 30s")
 	}
 }

@@ -209,6 +209,38 @@ func TestAutoscalerEvict(t *testing.T) {
 	}
 }
 
+// TestAutoscalerTinyTargetCapped: a Target so small that ceil(inflight /
+// Target) leaves int range must still scale up, to the instance cap, and
+// drain. Before the decision saturated it converted to a negative count,
+// nothing spawned, the buffered requests never ran and the tick re-armed
+// forever; the bounded Run turns that hang into a failure.
+func TestAutoscalerTinyTargetCapped(t *testing.T) {
+	cfg := econConfig(false)
+	cfg.Autoscaler.Target = 1e-300
+	eng, c := newTestCloud(t, cfg)
+	deploy(t, c, FunctionSpec{Name: "f", ExecTime: 5 * time.Millisecond, MaxInstances: 2})
+
+	const n = 20
+	served := 0
+	for i := 0; i < n; i++ {
+		eng.CallAt(time.Duration(i)*time.Millisecond, func() {
+			c.InvokeAsync(&Request{Fn: "f"}, func(_ *Response, err error) {
+				if err != nil {
+					t.Error(err)
+				}
+				served++
+			})
+		})
+	}
+	eng.Run(10 * time.Minute)
+	if served != n {
+		t.Fatalf("served %d of %d requests", served, n)
+	}
+	if pe := eng.PendingEvents(); pe != 0 {
+		t.Fatalf("%d events still pending after the run", pe)
+	}
+}
+
 // TestConcurrencyLimit pins per-tenant admission control in both execution
 // forms: with MaxConcurrent=2, a 5-wide simultaneous burst admits 2 and
 // rejects 3 with ErrConcurrencyLimit.

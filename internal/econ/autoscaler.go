@@ -152,12 +152,19 @@ func (a *Autoscaler) Reset() {
 }
 
 // rawDesired is the instantaneous desired capacity for an observed
-// in-flight concurrency.
+// in-flight concurrency. A tiny Target can push the quotient past any int,
+// where the float conversion is implementation-defined (negative on amd64),
+// so the result saturates at math.MaxInt32; callers clamp it to their
+// instance cap.
 func (a *Autoscaler) rawDesired(inflight int) int {
 	if inflight <= 0 {
 		return 0
 	}
-	return int(math.Ceil(float64(inflight) / a.cfg.Target))
+	d := math.Ceil(float64(inflight) / a.cfg.Target)
+	if d >= math.MaxInt32 {
+		return math.MaxInt32
+	}
+	return int(d)
 }
 
 // record merges a desired sample into the tick slot covering nowNS,

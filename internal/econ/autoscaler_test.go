@@ -94,6 +94,17 @@ func TestAutoscalerTargetDivision(t *testing.T) {
 	}
 }
 
+// TestAutoscalerTinyTargetSaturates: a quotient beyond int range saturates
+// instead of wrapping negative, so the function still scales up.
+func TestAutoscalerTinyTargetSaturates(t *testing.T) {
+	cfg := validASConfig()
+	cfg.Target = 1e-300
+	a := NewAutoscaler(cfg)
+	if d := a.Observe(0, 5, 0); d.Desired != math.MaxInt32 {
+		t.Fatalf("desired = %d, want math.MaxInt32 (saturated)", d.Desired)
+	}
+}
+
 func TestAutoscalerScaleDownWaitsForWindow(t *testing.T) {
 	cfg := validASConfig()
 	a := NewAutoscaler(cfg)
