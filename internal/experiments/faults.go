@@ -221,7 +221,7 @@ func RunFaults(opts FaultsOptions) (*FaultsResult, error) {
 		lat := stats.NewSample(int(opts.Invocations))
 		for _, sh := range shards[ci*opts.Shards : (ci+1)*opts.Shards] {
 			merged.Outcome.Merge(sh.out)
-			lat.AddAll(sh.lat.Values())
+			lat.Merge(sh.lat)
 			merged.Drops += sh.metrics.Drops
 			merged.Throttles += sh.metrics.Throttles
 			merged.SpawnFailures += sh.metrics.SpawnFailures
@@ -306,6 +306,7 @@ func runFaultsShard(opts FaultsOptions, rate float64, pol faults.Policy, shardId
 		return nil, fmt.Errorf("faults shard %d: conservation violated: issued=%d succeeded=%d of %d",
 			shardIdx, out.out.Issued, out.out.Succeeded, n)
 	}
+	out.lat.Sort() // on the worker, so the reducer only merges
 	return out, nil
 }
 

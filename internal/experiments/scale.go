@@ -248,7 +248,7 @@ func mergeSeriesShard(res *ScaleResult, sh *seriesShard) (*ScaleResult, error) {
 		res.VirtualTime = sh.virtual
 	}
 	if res.Exact {
-		res.Recorder.(*stats.Sample).AddAll(sh.rec.(*stats.Sample).Values())
+		res.Recorder.(*stats.Sample).Merge(sh.rec.(*stats.Sample))
 		return res, nil
 	}
 	return res, res.Sketch.Merge(sh.rec.(*sketch.Sketch))
@@ -320,6 +320,10 @@ func runSeriesShard(s series, sh runner.Shard) (*seriesShard, error) {
 	if got := out.rec.Count() + out.errors; got != n {
 		return nil, fmt.Errorf("%s shard %d: %d of %d invocations unaccounted for",
 			s.name, sh.Index, n-got, n)
+	}
+	if s.Exact {
+		// Sorted here, on the worker, so the reducer only merges.
+		out.rec.(*stats.Sample).Sort()
 	}
 	return out, nil
 }

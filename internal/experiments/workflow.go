@@ -265,8 +265,8 @@ func mergeWorkflowShard(res *WorkflowResult, sh *workflowShard) (*WorkflowResult
 	res.NodeFailures += sh.nodeFailures
 	res.Colds += sh.colds
 	res.Dropped += sh.dropped
-	res.Makespans.AddAll(sh.makespans.Values())
-	res.ClientLats.AddAll(sh.clients.Values())
+	res.Makespans.Merge(sh.makespans)
+	res.ClientLats.Merge(sh.clients)
 	for i, sk := range sh.edges {
 		if err := res.EdgeSketches[i].Merge(sk); err != nil {
 			return nil, fmt.Errorf("workflow shard %d: edge %d: %w", sh.index, i, err)
@@ -403,6 +403,9 @@ func runWorkflowShard(opts WorkflowOptions, sh runner.Shard) (*workflowShard, er
 			}
 		}
 	}
+	// Sorted here, on the worker, so the reducer only merges.
+	out.makespans.Sort()
+	out.clients.Sort()
 	return out, nil
 }
 

@@ -92,3 +92,33 @@ func BenchmarkSummarize(b *testing.B) {
 		s.Summarize()
 	}
 }
+
+// sortedShards returns k sorted shard samples of n observations each, with
+// overlapping ranges as a sharded run's shards have, and an empty
+// accumulator pre-sized for all of them.
+func sortedShards(k, n int) ([]*Sample, *Sample) {
+	shards := make([]*Sample, k)
+	for i := range shards {
+		s := NewSample(n)
+		for j := 0; j < n; j++ {
+			s.Add(time.Duration(((j+i)*2654435761)%1000) * time.Millisecond)
+		}
+		s.Sort()
+		shards[i] = s
+	}
+	return shards, NewSample(k * n)
+}
+
+// BenchmarkSampleMerge measures the sharded drivers' reduction: eight
+// sorted 100k shards merged, in shard order, into a pre-sized accumulator.
+func BenchmarkSampleMerge(b *testing.B) {
+	shards, acc := sortedShards(8, 100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.values = acc.values[:0]
+		for _, sh := range shards {
+			acc.Merge(sh)
+		}
+	}
+}

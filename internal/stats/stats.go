@@ -13,6 +13,11 @@ import (
 
 // Sample is a collection of duration observations. The zero value is ready
 // to use. Sample is not safe for concurrent mutation.
+//
+// A sample sorts itself once, at its first order query. Sharded drivers sort
+// each shard's sample on its worker goroutine (Sort) and fold the sorted runs
+// into one accumulator with Merge, a linear pass, so the reducing goroutine
+// never sorts.
 type Sample struct {
 	values []time.Duration
 	sorted bool
@@ -55,6 +60,37 @@ func (s *Sample) AddN(v time.Duration, n uint64) {
 	}
 	s.sorted = false
 }
+
+// Merge folds other's observations into s and leaves s sorted. Both are
+// sorted first if they are not (which sorts other in place), then the two
+// sorted runs are merged in one linear pass from the back, in place. When s
+// already has capacity for both, as an accumulator pre-sized with NewSample
+// does, Merge allocates nothing.
+func (s *Sample) Merge(other *Sample) {
+	s.ensureSorted()
+	other.ensureSorted()
+	b := other.values
+	i, j := len(s.values)-1, len(b)-1
+	out := slices.Grow(s.values, len(b))[:len(s.values)+len(b)]
+	// The write index k = i+j+1 stays above both read indices, so no
+	// unread element is overwritten, even when other is s itself. Once b
+	// is exhausted, the receiver's remaining prefix is already in place.
+	for k := len(out) - 1; j >= 0; k-- {
+		if i >= 0 && out[i] > b[j] {
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = b[j]
+			j--
+		}
+	}
+	s.values = out
+}
+
+// Sort sorts the observations in place, so later order queries and Merge
+// calls need not. Sharded drivers call it on the worker that filled the
+// sample.
+func (s *Sample) Sort() { s.ensureSorted() }
 
 // Len reports the number of observations.
 func (s *Sample) Len() int { return len(s.values) }
