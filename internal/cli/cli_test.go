@@ -318,6 +318,40 @@ func TestCompareCommandErrors(t *testing.T) {
 	}
 }
 
+// TestCompareCommandBadFlags: a confidence outside (0,1), NaN included, and
+// too few resamples are flag errors, not a bootstrap panic or a silent
+// default. The records are valid, so only the flags can be at fault.
+func TestCompareCommandBadFlags(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for _, name := range []string{"a.json", "b.json"} {
+		path := filepath.Join(dir, name)
+		rec := `{"name":"` + name + `","latencies_ns":[5000000,7000000,6000000,9000000,8000000]}`
+		if err := os.WriteFile(path, []byte(rec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-confidence", "1.5"}, "-confidence"},
+		{[]string{"-confidence", "0"}, "-confidence"},
+		{[]string{"-confidence", "NaN"}, "-confidence"},
+		{[]string{"-resamples", "-5"}, "-resamples"},
+		{[]string{"-resamples", "9"}, "-resamples"},
+	} {
+		code, _, errOut := run(t, append(append([]string{"compare"}, tc.flags...), paths...)...)
+		if code == 0 || !strings.Contains(errOut, tc.want) {
+			t.Errorf("compare %v: exit %d, error %q; want a %s error", tc.flags, code, errOut, tc.want)
+		}
+	}
+	if code, _, errOut := run(t, append([]string{"compare", "-resamples", "10"}, paths...)...); code != 0 {
+		t.Fatalf("compare at the minimum resamples failed: %s", errOut)
+	}
+}
+
 func TestBenchTimelineFlag(t *testing.T) {
 	code, out, errOut := run(t, "bench",
 		"-provider", "aws", "-samples", "40", "-timeline", "30s")

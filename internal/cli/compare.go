@@ -7,6 +7,7 @@ import (
 
 	"github.com/stellar-repro/stellar/internal/dist"
 	"github.com/stellar-repro/stellar/internal/results"
+	"github.com/stellar-repro/stellar/internal/stats"
 )
 
 // cmdCompare performs an A/B analysis of two saved runs: bootstrap
@@ -21,6 +22,14 @@ func cmdCompare(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "bootstrap seed")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// PercentileCI panics on a confidence outside (0,1) and silently
+	// replaces too few resamples, so both are rejected here instead.
+	if !(*confidence > 0 && *confidence < 1) {
+		return fmt.Errorf("compare: -confidence %v is not in (0,1)", *confidence)
+	}
+	if *resamples < stats.MinResamples {
+		return fmt.Errorf("compare: -resamples %d is below the minimum of %d", *resamples, stats.MinResamples)
 	}
 	if fs.NArg() != 2 {
 		return fmt.Errorf("compare: need exactly two run files (have %d)", fs.NArg())

@@ -24,6 +24,10 @@ func (ci CI) String() string {
 		ci.Hi.Round(time.Millisecond), ci.Confidence*100)
 }
 
+// MinResamples is the fewest bootstrap resamples PercentileCI uses as given;
+// it replaces a smaller count with 200.
+const MinResamples = 10
+
 // PercentileCI estimates a confidence interval for the p-th percentile via
 // the bootstrap: resamples resamplings of the data with replacement, the
 // percentile of each, and the empirical (alpha/2, 1-alpha/2) quantiles of
@@ -34,10 +38,10 @@ func (s *Sample) PercentileCI(p, confidence float64, resamples int, rng *rand.Ra
 	if s.Len() == 0 {
 		panic("stats: bootstrap on empty sample")
 	}
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) { // NaN fails both comparisons
 		panic(fmt.Sprintf("stats: confidence %v out of (0,1)", confidence))
 	}
-	if resamples < 10 {
+	if resamples < MinResamples {
 		resamples = 200
 	}
 	values := s.Values()

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -96,11 +98,15 @@ func TestCIPanics(t *testing.T) {
 		func() { (&Sample{}).MedianCI(0.95, 100, rng) },
 		func() { s.PercentileCI(50, 0, 100, rng) },
 		func() { s.PercentileCI(50, 1, 100, rng) },
+		func() { s.PercentileCI(50, math.NaN(), 100, rng) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
+				// The argument check's own panic, not an index
+				// error further down.
+				r := recover()
+				if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "stats: ") {
+					t.Errorf("expected an argument panic, got %v", r)
 				}
 			}()
 			fn()
