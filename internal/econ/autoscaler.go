@@ -111,7 +111,6 @@ type Autoscaler struct {
 	// stale slots are lazily cleared as the window advances.
 	ring     []int
 	ringTick []int64
-	lastTick int64 // last absolute tick index observed (-1 = fresh)
 
 	inPanic    bool
 	panicSince int64 // virtual ns of the last panic-triggering observation
@@ -145,7 +144,6 @@ func (a *Autoscaler) Reset() {
 		a.ring[i] = 0
 		a.ringTick[i] = -1
 	}
-	a.lastTick = -1
 	a.inPanic = false
 	a.panicSince = 0
 	a.panicPeak = 0
@@ -177,9 +175,6 @@ func (a *Autoscaler) record(nowNS int64, desired int) {
 		a.ring[slot] = desired
 	} else if desired > a.ring[slot] {
 		a.ring[slot] = desired
-	}
-	if tick > a.lastTick {
-		a.lastTick = tick
 	}
 }
 
