@@ -34,9 +34,13 @@ import (
 // order concurrent requests draw from the shared ingress/instance RNG
 // streams — and it is pinned by TestInvokeAsyncMatchesInvoke,
 // FuzzCallbackSchedule and the proc-generated report goldens in
-// internal/experiments. Tracing rides along: each step marks the span its
-// predecessor's sleep covered, so a traced run measures the same code path
-// as an untraced one (TestInvokeAsyncTracedMatchesInvoke).
+// internal/experiments. Tracing rides along without touching the steps:
+// begin takes the request's id and head-sampling draw at the arrival
+// instant, and finish, only when the tracer keeps the request, rebuilds
+// the spans Invoke would have marked from the breakdown and the step
+// instants (see traceSpans). A trace-sampled request the tracer discards
+// thus costs one draw and one comparison, and a traced run measures the
+// same code path as an untraced one (TestInvokeAsyncTracedMatchesInvoke).
 
 // warmCall is one in-flight callback-form invocation. Records are
 // free-listed on the Cloud and every step closure is bound once at record
@@ -46,7 +50,14 @@ type warmCall struct {
 	fn   *Function
 	req  Request // the caller's request, copied: InvokeAsync retains no pointer
 	done func(*Response, error)
-	tr   *trace.Req // span handle; nil when untraced or not sampled
+
+	// Tracer state, set in begin when a tracer is installed: the request's
+	// trace id and head-sampling draw. createdAt is a cold serving
+	// instance's creation instant, captured in serveOn because the
+	// instance record may be recycled before finish builds the spans.
+	traceID   uint64
+	sampled   bool
+	createdAt des.Time
 
 	start     des.Time // arrival instant: latency epoch (Invoke's entry)
 	busyStart des.Time // serve-window start, for billing
@@ -109,8 +120,9 @@ func (c *Cloud) getWarmCall() *warmCall {
 }
 
 func (c *Cloud) putWarmCall(wc *warmCall) {
-	wc.fn, wc.done, wc.inst, wc.tr = nil, nil, nil, nil
+	wc.fn, wc.done, wc.inst = nil, nil, nil
 	wc.req = Request{}
+	wc.traceID, wc.sampled, wc.createdAt = 0, false, 0
 	wc.cold, wc.granted, wc.timedOut = false, false, false
 	wc.congQ = 0
 	wc.pr = pendingReq{wc: wc}
@@ -165,8 +177,9 @@ func (c *Cloud) InvokeAsync(req *Request, done func(*Response, error)) {
 }
 
 // begin runs at the arrival instant: admission bookkeeping, the tracer's
-// sampling draw, and the client→provider propagation leg (Invoke's entry
-// through its first Sleep).
+// request id and sampling draw (Begin's, in Invoke), and the
+// client→provider propagation leg (Invoke's entry through its first
+// Sleep).
 func (wc *warmCall) begin() {
 	c, fn := wc.c, wc.fn
 	wc.start = c.eng.Now()
@@ -174,7 +187,8 @@ func (wc *warmCall) begin() {
 	fn.tm.Invocations++
 	if c.tr != nil {
 		c.reqSeq++
-		wc.tr = c.tr.Begin(c.reqSeq, wc.req.Fn, wc.start)
+		wc.traceID = c.reqSeq
+		wc.sampled = c.tr.Sampled()
 	}
 	fn.inflight++
 	fn.meter.Request()
@@ -195,7 +209,6 @@ func (wc *warmCall) begin() {
 // frontend samples front-end admission and sleeps through it.
 func (wc *warmCall) frontend() {
 	c := wc.c
-	wc.tr.Mark(trace.StagePropagation, c.cfg.PropagationRTT/2, c.eng.Now())
 	wc.bd.Frontend = c.cfg.FrontendDelay.Sample(c.rngIngress)
 	c.eng.CallAfter(wc.bd.Frontend, wc.admitFn)
 }
@@ -205,7 +218,6 @@ func (wc *warmCall) frontend() {
 // reused for the slow-path probability after it.
 func (wc *warmCall) admit() {
 	c := wc.c
-	wc.tr.Mark(trace.StageFrontend, wc.bd.Frontend, c.eng.Now())
 	if q := wc.fn.inflight - 1 - c.cfg.CongestionThreshold; q > 0 {
 		exp := c.cfg.CongestionExponent
 		if exp == 0 {
@@ -226,7 +238,6 @@ func (wc *warmCall) admit() {
 // slowProb draws the slow-path lottery after the congestion delay.
 func (wc *warmCall) slowProb() {
 	c := wc.c
-	wc.tr.Mark(trace.StageCongestion, wc.bd.Congestion, c.eng.Now())
 	prob := float64(wc.congQ) * c.cfg.SlowPathProbPerInflight
 	if prob > c.cfg.SlowPathMaxProb {
 		prob = c.cfg.SlowPathMaxProb
@@ -240,7 +251,6 @@ func (wc *warmCall) slowProb() {
 }
 
 func (wc *warmCall) slowDone() {
-	wc.tr.Mark(trace.StageSlowPath, wc.bd.SlowPath, wc.c.eng.Now())
 	wc.c.metrics.SlowPaths++
 	wc.route()
 }
@@ -256,8 +266,6 @@ func (wc *warmCall) route() {
 // gateway queue timeout exactly where Invoke's WaitTimeout would.
 func (wc *warmCall) acquire() {
 	c, fn := wc.c, wc.fn
-	wc.tr.Mark(trace.StageRouting, wc.bd.Routing, c.eng.Now())
-	wc.tr.Attempt(1)
 	if inst := fn.claimIdle(); inst != nil {
 		wc.serveOn(inst)
 		return
@@ -313,7 +321,6 @@ func (wc *warmCall) queueResume() {
 	}
 	inst := wc.pr.inst
 	wc.bd.QueueWait = c.eng.Now() - wc.pr.enqueued
-	wc.tr.Mark(trace.StageQueueWait, wc.bd.QueueWait, c.eng.Now())
 	if wc.pr.handoff {
 		wc.inst = inst
 		wc.bd.QueueHandoff = c.cfg.QueueHandoffDelay.Sample(c.rngInstance)
@@ -324,7 +331,6 @@ func (wc *warmCall) queueResume() {
 }
 
 func (wc *warmCall) handoffDone() {
-	wc.tr.Mark(trace.StageQueueHandoff, wc.bd.QueueHandoff, wc.c.eng.Now())
 	wc.serveOn(wc.inst)
 }
 
@@ -338,12 +344,11 @@ func (wc *warmCall) serveOn(inst *Instance) {
 	wc.inst = inst
 	wc.cold = inst.served == 0
 	inst.served++
-	wc.tr.SetCold(wc.cold)
 	if wc.cold {
 		c.metrics.ColdServed++
 		fn.tm.ColdServed++
 		wc.bd.ColdStart = inst.coldBreakdown
-		coldSpans(wc.tr, inst)
+		wc.createdAt = inst.createdAt
 	} else {
 		c.metrics.WarmServed++
 		fn.tm.WarmServed++
@@ -361,8 +366,6 @@ func (wc *warmCall) serveOn(inst *Instance) {
 func (wc *warmCall) execDone() {
 	c, fn := wc.c, wc.fn
 	now := c.eng.Now()
-	wc.tr.Mark(trace.StageOverhead, wc.bd.Overhead, wc.busyStart+wc.bd.Overhead)
-	wc.tr.Mark(trace.StageExec, wc.bd.Exec, now)
 	gbs := (now - wc.busyStart).Seconds() * c.cfg.memoryGB(fn.spec.MemoryMB)
 	wc.resp.BilledGBSeconds = gbs
 	c.metrics.BilledGBSeconds += gbs
@@ -371,7 +374,6 @@ func (wc *warmCall) execDone() {
 	// response path is still in flight.
 	wc.resp.InstanceID = wc.inst.id
 	fn.release(wc.inst)
-	wc.tr.Attempt(0)
 	wc.bd.ResponsePath = c.cfg.ResponseDelay.Sample(c.rngIngress)
 	c.eng.CallAfter(wc.bd.ResponsePath+c.cfg.PropagationRTT/2, wc.finishFn)
 }
@@ -382,9 +384,6 @@ func (wc *warmCall) execDone() {
 func (wc *warmCall) finish() {
 	c, fn := wc.c, wc.fn
 	now := c.eng.Now()
-	half := c.cfg.PropagationRTT / 2
-	wc.tr.Mark(trace.StageResponse, wc.bd.ResponsePath, now-half)
-	wc.tr.Mark(trace.StagePropagation, half, now)
 	resp := &wc.resp
 	resp.Fn = fn.spec.Name
 	resp.Cold = wc.cold
@@ -392,8 +391,8 @@ func (wc *warmCall) finish() {
 	resp.Attempts = 1
 	resp.Breakdown = wc.bd
 	fn.inflight--
-	if wc.tr != nil {
-		c.tr.End(wc.tr, now, nil)
+	if c.tr != nil {
+		wc.traceSpans(now)
 	}
 	if c.latRec != nil {
 		c.latRec.Add(now - wc.start)
@@ -405,16 +404,52 @@ func (wc *warmCall) finish() {
 	c.putWarmCall(wc)
 }
 
+// traceSpans hands the completed request to the tracer and, only when the
+// tracer keeps it, records the spans Invoke marks along the way, in
+// Invoke's order. Every step began the instant its predecessor's sleep
+// ended, and the engine clamps a negative delay to zero, so each span's
+// end is the arrival instant plus the clamped breakdown components before
+// it; the serve window and the egress legs are anchored at busyStart and
+// now, as the stepwise marks were.
+func (wc *warmCall) traceSpans(now des.Time) {
+	c, bd := wc.c, &wc.bd
+	r := c.tr.Keep(wc.traceID, wc.req.Fn, wc.start, now, wc.sampled)
+	if r == nil {
+		return
+	}
+	half := c.cfg.PropagationRTT / 2
+	at := wc.start
+	mark := func(st trace.Stage, d time.Duration) {
+		at += max(d, 0)
+		r.Mark(st, d, at)
+	}
+	mark(trace.StagePropagation, half)
+	mark(trace.StageFrontend, bd.Frontend)
+	mark(trace.StageCongestion, bd.Congestion)
+	mark(trace.StageSlowPath, bd.SlowPath)
+	mark(trace.StageRouting, bd.Routing)
+	r.Attempt(1)
+	mark(trace.StageQueueWait, bd.QueueWait)
+	mark(trace.StageQueueHandoff, bd.QueueHandoff)
+	r.SetCold(wc.cold)
+	if wc.cold {
+		coldSpans(r, wc.createdAt, bd.ColdStart)
+	}
+	r.Mark(trace.StageOverhead, bd.Overhead, wc.busyStart+bd.Overhead)
+	r.Mark(trace.StageExec, bd.Exec, wc.busyStart+max(bd.Overhead+bd.Exec, 0))
+	r.Attempt(0)
+	r.Mark(trace.StageResponse, bd.ResponsePath, now-half)
+	r.Mark(trace.StagePropagation, half, now)
+	c.tr.End(r, now, nil)
+}
+
 // fail delivers an error outcome (a concurrency reject or a gateway queue
 // timeout, the only ones the fast path can produce) and recycles the
 // record. As in Invoke's error return, no egress legs run, no latency is
-// recorded, and the tracer discards the request's trace.
+// recorded, and no trace is retained.
 func (wc *warmCall) fail(err error) {
 	wc.fn.tm.Errors++
 	wc.fn.inflight--
-	if wc.tr != nil {
-		wc.c.tr.End(wc.tr, wc.c.eng.Now(), err)
-	}
 	wc.done(nil, err)
 	wc.c.putWarmCall(wc)
 }

@@ -138,8 +138,8 @@ func runForm(t *testing.T, cfg Config, callback bool, load formLoad) formTrace {
 }
 
 // diffForms asserts the two forms produce deeply equal traces for one load
-// shape.
-func diffForms(t *testing.T, cfg Config, load formLoad) {
+// shape, and returns the callback form's.
+func diffForms(t *testing.T, cfg Config, load formLoad) formTrace {
 	t.Helper()
 	proc := runForm(t, cfg, false, load)
 	cb := runForm(t, cfg, true, load)
@@ -180,6 +180,7 @@ func diffForms(t *testing.T, cfg Config, load formLoad) {
 			}
 		}
 	}
+	return cb
 }
 
 // noisyConfig is testConfig with every stochastic pipeline feature armed:
@@ -257,32 +258,87 @@ func TestInvokeAsyncMatchesInvoke(t *testing.T) {
 }
 
 // TestInvokeAsyncTracedMatchesInvoke is the span-equivalence gate: with a
-// tracer installed the callback form must record exactly the proc form's
-// spans — same stages, attempts, start instants and durations, same cold
+// tracer installed the callback form, which builds a kept request's spans
+// only at finish, must retain exactly the spans the proc form marks as it
+// runs — same stages, attempts, start instants and durations, same cold
 // detail spans, same sampled and slowest-K retention — on every formCases
-// shape plus a concurrency limit. Rejected and timed-out requests end in
-// fail, whose trace the tracer must discard as Invoke's error return does;
-// the concurrency-limit case's small ring also makes Dropped count
-// overwrites.
+// shape plus a concurrency limit, at head-sampling rates 0 and 1, with and
+// without a slowest-K set. Rejected and timed-out requests end in fail,
+// which must retain nothing, as Invoke's error return does: at rate 1
+// without a slow set, retained plus overwritten traces equal the
+// successful requests. The concurrency-limit case's small ring also makes
+// Dropped count overwrites.
 func TestInvokeAsyncTracedMatchesInvoke(t *testing.T) {
 	cases := append(formCases(), formCase{"concurrency-limit", noisyConfig(),
 		formLoad{n: 200, burst: 16, iat: 100 * time.Millisecond, exec: 30 * time.Millisecond,
-			maxConcurrent: 12, tracer: &trace.Config{SampleRate: 1, SlowestK: 8, RingCapacity: 32}}})
+			maxConcurrent: 12}})
+	samplers := []struct {
+		name string
+		cfg  trace.Config
+	}{
+		{"sampled", trace.Config{SampleRate: 1}},
+		{"sampled+slowest", trace.Config{SampleRate: 1, SlowestK: 8}},
+		{"slowest", trace.Config{SlowestK: 8}},
+		{"off", trace.Config{}},
+	}
+	// Stages and outcomes the retained callback-form traces must cover
+	// across the suite, so the comparison is not vacuous for any of them.
+	seen := map[string]bool{}
 	for _, fc := range cases {
-		if fc.load.tracer == nil {
-			fc.load.tracer = &trace.Config{SampleRate: 1, SlowestK: 8}
-		}
 		t.Run(fc.name, func(t *testing.T) {
-			proc := runForm(t, fc.cfg, false, fc.load)
-			if len(proc.spans) == 0 && len(proc.lats) > 0 {
-				t.Fatal("tracer retained nothing; the comparison would be vacuous")
+			for _, sm := range samplers {
+				cfg := sm.cfg
+				if fc.load.maxConcurrent > 0 {
+					cfg.RingCapacity = 32
+				}
+				load := fc.load
+				load.tracer = &cfg
+				t.Run(sm.name, func(t *testing.T) {
+					proc := runForm(t, fc.cfg, false, load)
+					switch {
+					case cfg.SampleRate == 0 && cfg.SlowestK == 0:
+						if len(proc.spans) != 0 {
+							t.Fatalf("a tracer that samples nothing retained %d traces", len(proc.spans))
+						}
+					case len(proc.spans) == 0 && len(proc.lats) > 0:
+						t.Fatal("tracer retained nothing; the comparison would be vacuous")
+					}
+					if cfg.SampleRate == 1 && cfg.SlowestK == 0 {
+						if got := uint64(len(proc.spans)) + proc.dropped; got != uint64(len(proc.lats)) {
+							t.Fatalf("retained+dropped %d traces for %d successful requests (%d errors)",
+								got, len(proc.lats), len(proc.errs))
+						}
+					}
+					if load.maxConcurrent > 0 && proc.metrics.ConcurrencyRejects == 0 {
+						t.Fatal("concurrency-limit case exercised no rejects")
+					}
+					if load.maxConcurrent > 0 && cfg.SampleRate == 1 && proc.dropped == 0 {
+						t.Fatal("concurrency-limit case exercised no ring overwrites")
+					}
+					cb := diffForms(t, fc.cfg, load)
+					if len(cb.errs) > 0 {
+						seen["errors"] = true
+					}
+					for _, rec := range cb.spans {
+						if rec.Cold {
+							seen["cold"] = true
+						}
+						if rec.Slow {
+							seen["slow"] = true
+						}
+						for _, sp := range rec.Spans {
+							seen[sp.Stage] = true
+						}
+					}
+				})
 			}
-			if fc.load.maxConcurrent > 0 && (proc.metrics.ConcurrencyRejects == 0 || proc.dropped == 0) {
-				t.Fatalf("concurrency-limit case exercised %d rejects and %d ring overwrites; want both > 0",
-					proc.metrics.ConcurrencyRejects, proc.dropped)
-			}
-			diffForms(t, fc.cfg, fc.load)
 		})
+	}
+	for _, want := range []string{"errors", "cold", "slow", "congestion", "slow-path",
+		"queue-wait", "queue-handoff", "cold/sandbox-boot"} {
+		if !seen[want] {
+			t.Errorf("no retained callback-form trace covered %q", want)
+		}
 	}
 }
 

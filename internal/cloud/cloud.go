@@ -736,16 +736,15 @@ func mergeAttempt(bd *Breakdown, a Breakdown) {
 	bd.ColdStart = a.ColdStart
 }
 
-// coldSpans reconstructs inst's spawn pipeline on tr as detail spans laid
-// out back-to-back against the instance's creation instant; they nest
-// inside (and may predate) the serving request's queue wait. Both execution
-// forms call it where the serving instance turns out to be cold.
-func coldSpans(tr *trace.Req, inst *Instance) {
+// coldSpans reconstructs a cold instance's spawn pipeline cb on tr as
+// detail spans laid out back-to-back against the instance's creation
+// instant; they nest inside (and may predate) the serving request's queue
+// wait. Both execution forms call it for a request served cold.
+func coldSpans(tr *trace.Req, createdAt des.Time, cb ColdBreakdown) {
 	if tr == nil {
 		return
 	}
-	cb := inst.coldBreakdown
-	tr.ColdSpans(inst.createdAt,
+	tr.ColdSpans(createdAt,
 		trace.Phase{Stage: trace.StageColdSchedulerQueue, Dur: cb.SchedulerQueue},
 		trace.Phase{Stage: trace.StageColdPlacement, Dur: cb.Placement},
 		trace.Phase{Stage: trace.StageColdSandboxBoot, Dur: cb.SandboxBoot},
@@ -768,7 +767,7 @@ func (c *Cloud) serve(p *des.Proc, inst *Instance, req *Request, fn *Function, b
 		c.metrics.ColdServed++
 		fn.tm.ColdServed++
 		bd.ColdStart = inst.coldBreakdown
-		coldSpans(tr, inst)
+		coldSpans(tr, inst.createdAt, inst.coldBreakdown)
 	} else {
 		c.metrics.WarmServed++
 		fn.tm.WarmServed++

@@ -57,15 +57,18 @@ func ParseCostPolicy(name string) (CostPolicy, error) {
 			spec, suspend = s, false
 		}
 		target, err := strconv.ParseFloat(spec, 64)
-		if err != nil || target <= 0 || math.IsInf(target, 0) {
-			return CostPolicy{}, fmt.Errorf("cost: bad target policy %q", name)
-		}
-		return CostPolicy{Name: name, Autoscaler: &econ.AutoscalerConfig{
+		as := &econ.AutoscalerConfig{
 			Target:          target,
 			TickInterval:    2 * time.Second,
 			ScaleDownWindow: 30 * time.Second,
 			Suspend:         suspend,
-		}}, nil
+		}
+		// econ's own check rejects a NaN, infinite or non-positive target
+		// here, at parse time, rather than when the sweep is configured.
+		if err != nil || as.Validate() != nil {
+			return CostPolicy{}, fmt.Errorf("cost: bad target policy %q", name)
+		}
+		return CostPolicy{Name: name, Autoscaler: as}, nil
 	default:
 		return CostPolicy{}, fmt.Errorf("cost: unknown policy %q (want keepalive-<dur>, target-<n>, or target-<n>-evict)", name)
 	}

@@ -212,7 +212,8 @@ func TestParseCostPolicy(t *testing.T) {
 	if err := p.Autoscaler.Validate(); err != nil {
 		t.Fatalf("parsed policy invalid: %v", err)
 	}
-	for _, bad := range []string{"", "keepalive-", "keepalive--5m", "target-", "target-x", "target--1", "burst-3", "target-0"} {
+	for _, bad := range []string{"", "keepalive-", "keepalive--5m", "target-", "target-x", "target--1", "burst-3", "target-0",
+		"target-NaN", "target-nan-evict", "target-Inf", "target-1e400"} {
 		if _, err := ParseCostPolicy(bad); err == nil {
 			t.Errorf("ParseCostPolicy(%q) accepted", bad)
 		}
@@ -220,6 +221,34 @@ func TestParseCostPolicy(t *testing.T) {
 	if len(DefaultCostPolicies()) < 3 {
 		t.Fatalf("default policies = %d, want >= 3", len(DefaultCostPolicies()))
 	}
+}
+
+// FuzzParseCostPolicy: parsing never panics, and every accepted policy is
+// one the cost sweep accepts — a keep-alive that is positive, or an
+// autoscaler that passes econ's validation.
+func FuzzParseCostPolicy(f *testing.F) {
+	for _, seed := range []string{"keepalive-5m", "target-2", "target-0.5-evict", "target-NaN",
+		"target-nan-evict", "target-1e-300", "target-Inf", "keepalive-0s", "target--evict"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		p, err := ParseCostPolicy(name)
+		if err != nil {
+			return
+		}
+		if p.Name != name {
+			t.Fatalf("policy %q named %q", name, p.Name)
+		}
+		if p.Autoscaler == nil {
+			if p.KeepAlive <= 0 {
+				t.Fatalf("policy %q: non-positive keep-alive %v", name, p.KeepAlive)
+			}
+			return
+		}
+		if err := p.Autoscaler.Validate(); err != nil {
+			t.Fatalf("policy %q: %v", name, err)
+		}
+	})
 }
 
 func TestCostValidation(t *testing.T) {

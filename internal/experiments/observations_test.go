@@ -1,29 +1,40 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
+// TestObservationsAllPass reproduces all seven observations at seeds 1–12
+// (seed 3 alone under -short), so a pass does not rest on one lucky seed.
 func TestObservationsAllPass(t *testing.T) {
-	obs, err := Observations(Options{Seed: 3, Samples: 900, Replicas: 50})
-	if err != nil {
-		t.Fatal(err)
+	seeds := []int64{3}
+	if !testing.Short() {
+		seeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	}
-	if len(obs) != 7 {
-		t.Fatalf("%d observations, want 7", len(obs))
-	}
-	for _, o := range obs {
-		if !o.Pass {
-			t.Errorf("Observation %d failed: %s (%s)", o.ID, o.Claim, o.Evidence)
-		}
-		if o.Evidence == "" {
-			t.Errorf("Observation %d has no evidence", o.ID)
-		}
-	}
-	var sb strings.Builder
-	WriteObservationsReport(&sb, obs)
-	if !strings.Contains(sb.String(), "7/7 observations reproduced") {
-		t.Fatalf("report:\n%s", sb.String())
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			obs, err := Observations(Options{Seed: seed, Samples: 900, Replicas: 50})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(obs) != 7 {
+				t.Fatalf("%d observations, want 7", len(obs))
+			}
+			for _, o := range obs {
+				if !o.Pass {
+					t.Errorf("Observation %d failed: %s (%s)", o.ID, o.Claim, o.Evidence)
+				}
+				if o.Evidence == "" {
+					t.Errorf("Observation %d has no evidence", o.ID)
+				}
+			}
+			var sb strings.Builder
+			WriteObservationsReport(&sb, obs)
+			if !strings.Contains(sb.String(), "7/7 observations reproduced") {
+				t.Fatalf("report:\n%s", sb.String())
+			}
+		})
 	}
 }

@@ -72,45 +72,12 @@ func Map[T any](p Pool, n int, fn func(Shard) (T, error)) ([]T, error) {
 		return nil, nil
 	}
 	results := make([]T, n)
-	errs := make([]error, n)
-	var failed atomic.Bool
-
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < p.size(n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				seed := dist.ShardSeed(p.Seed, i)
-				out, err := fn(Shard{
-					Index:   i,
-					Total:   n,
-					Seed:    seed,
-					Streams: dist.NewStreams(seed),
-				})
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					continue
-				}
-				results[i] = out
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if failed.Load() {
-			break
-		}
-		indices <- i
-	}
-	close(indices)
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := run(p, n, fn, func(i int, out T) error {
+		results[i] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
@@ -119,19 +86,94 @@ func Map[T any](p Pool, n int, fn func(Shard) (T, error)) ([]T, error) {
 // accumulator with merge, in shard-index order. It exists for mergeable
 // summaries (quantile sketches, counters): a scale run's aggregation cost
 // is O(shards × summary size) — never O(total observations) — because no
-// shard's raw stream is ever concatenated. The index-ordered fold keeps the
-// result deterministic at any Workers setting even for merges that are not
-// commutative; for exact merges like the sketch's it is simply the cheapest
-// deterministic order.
+// shard's raw stream is ever concatenated. The
+// index-ordered fold keeps the result deterministic at any Workers setting
+// even for merges that are not commutative; for exact merges like the
+// sketch's it is simply the cheapest deterministic order.
+//
+// The fold streams: shard i is merged, on the calling goroutine, as soon
+// as shards 0..i have all completed, while later shards still run, and its
+// result is dropped once merged, so a finished shard's summary does not
+// outlive its merge. Errors follow Map's rule: the error at the lowest
+// shard index wins, whether fn returned it or merge did (merge errors
+// carry the shard index); no shard is started once a failure is seen, and
+// merge is never called past the failing index. On error the accumulator
+// may hold a partial fold.
 func MapReduce[S, A any](p Pool, n int, acc A, fn func(Shard) (S, error), merge func(acc A, shard S) (A, error)) (A, error) {
-	outs, err := Map(p, n, fn)
-	if err != nil {
-		return acc, err
-	}
-	for i, out := range outs {
+	err := run(p, n, fn, func(i int, out S) error {
+		var err error
 		if acc, err = merge(acc, out); err != nil {
-			return acc, fmt.Errorf("runner: merge shard %d: %w", i, err)
+			return fmt.Errorf("runner: merge shard %d: %w", i, err)
+		}
+		return nil
+	})
+	return acc, err
+}
+
+// run is the pool behind Map and MapReduce. Workers claim shard indices in
+// increasing order, so when shard i has started every shard before it has
+// too. The calling goroutine calls fold(i, result) in index order, each as
+// soon as shards 0..i have all completed without error, and then drops its
+// own reference to the result. The first failure, by shard index, of fn or
+// fold stops the claiming of further shards; run waits for the running ones
+// and returns that failure. Every shard below the failing index was started
+// and folded, so the returned error is the same at any worker count.
+func run[T any](p Pool, n int, fn func(Shard) (T, error), fold func(i int, out T) error) error {
+	if n <= 0 {
+		return nil
+	}
+	outs := make([]T, n)
+	errs := make([]error, n)
+	var next atomic.Int64 // next unclaimed shard index
+	var stop atomic.Bool
+	// One slot per shard: a worker never waits for the reducer to fold.
+	completed := make(chan int, n)
+
+	var wg sync.WaitGroup
+	for w := 0; w < p.size(n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				seed := dist.ShardSeed(p.Seed, i)
+				outs[i], errs[i] = fn(Shard{
+					Index:   i,
+					Total:   n,
+					Seed:    seed,
+					Streams: dist.NewStreams(seed),
+				})
+				if errs[i] != nil {
+					stop.Store(true)
+				}
+				completed <- i
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(completed)
+	}()
+
+	done := make([]bool, n)
+	failAt, folded := n, 0 // lowest failing index; shards 0..folded-1 are folded
+	var failure error
+	for i := range completed {
+		done[i] = true
+		if errs[i] != nil && i < failAt {
+			failAt, failure = i, errs[i]
+		}
+		for ; folded < failAt && done[folded]; folded++ {
+			if err := fold(folded, outs[folded]); err != nil {
+				failAt, failure = folded, err
+				stop.Store(true)
+			}
+			var zero T
+			outs[folded] = zero
 		}
 	}
-	return acc, nil
+	return failure
 }

@@ -179,7 +179,7 @@ func TestMapReduceFoldsInIndexOrder(t *testing.T) {
 	}
 }
 
-// TestMapReduceSurfacesErrors: shard errors preempt the fold; merge errors
+// TestMapReduceSurfacesErrors: a shard error stops the fold; merge errors
 // carry the shard index.
 func TestMapReduceSurfacesErrors(t *testing.T) {
 	_, err := MapReduce(Pool{Workers: 2, Seed: 1}, 4, 0,
@@ -203,5 +203,86 @@ func TestMapReduceSurfacesErrors(t *testing.T) {
 		})
 	if err == nil || !strings.Contains(err.Error(), "merge shard 2") {
 		t.Fatalf("merge error not indexed: %v", err)
+	}
+}
+
+// TestMapReduceStreamingLowestIndexError pins the streaming fold's error
+// rule: whichever of fn and merge fails at the lowest shard index is
+// reported, identically at every worker count, however shards interleave.
+func TestMapReduceStreamingLowestIndexError(t *testing.T) {
+	cases := []struct {
+		name            string
+		fnFail, mrgFail map[int]bool
+		want            string
+	}{
+		{"fn errors", map[int]bool{6: true, 3: true}, nil, "fn 3"},
+		{"fn before merge", map[int]bool{1: true}, map[int]bool{4: true}, "fn 1"},
+		{"merge before fn", map[int]bool{5: true}, map[int]bool{2: true}, "runner: merge shard 2: merge 2"},
+		{"merge errors", nil, map[int]bool{7: true, 3: true}, "runner: merge shard 3: merge 3"},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2, 3, 8} {
+			_, err := MapReduce(Pool{Workers: workers, Seed: 4}, 10, 0,
+				func(sh Shard) (int, error) {
+					// Scramble completion order.
+					time.Sleep(time.Duration(rand.New(rand.NewSource(sh.Seed)).Intn(2000)) * time.Microsecond)
+					if tc.fnFail[sh.Index] {
+						return 0, fmt.Errorf("fn %d", sh.Index)
+					}
+					return sh.Index, nil
+				},
+				func(acc, i int) (int, error) {
+					if tc.mrgFail[i] {
+						return acc, fmt.Errorf("merge %d", i)
+					}
+					return acc + i, nil
+				})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s, Workers=%d: err = %v, want %q", tc.name, workers, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestMapReduceIdenticalAcrossWorkers folds real shard draws with an
+// order-sensitive merge: Workers=1 and Workers=8 must agree exactly.
+func TestMapReduceIdenticalAcrossWorkers(t *testing.T) {
+	fold := func(workers int) []int64 {
+		got, err := MapReduce(Pool{Workers: workers, Seed: 11}, 29, []int64(nil), draw,
+			func(acc, shard []int64) ([]int64, error) { return append(acc, shard...), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if w1, w8 := fold(1), fold(8); !reflect.DeepEqual(w1, w8) {
+		t.Fatal("Workers=8 fold differs from Workers=1")
+	}
+}
+
+// TestMapReduceFoldsWhileShardsRun pins the streaming: the last shard
+// blocks until shard 0 has been merged, which a fold that waits for every
+// shard would never do.
+func TestMapReduceFoldsWhileShardsRun(t *testing.T) {
+	merged0 := make(chan struct{})
+	_, err := MapReduce(Pool{Workers: 2, Seed: 1}, 3, 0,
+		func(sh Shard) (int, error) {
+			if sh.Index == 2 {
+				select {
+				case <-merged0:
+				case <-time.After(10 * time.Second):
+					return 0, errors.New("shard 0 was not merged while shard 2 ran")
+				}
+			}
+			return sh.Index, nil
+		},
+		func(acc, i int) (int, error) {
+			if i == 0 {
+				close(merged0)
+			}
+			return acc + i, nil
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

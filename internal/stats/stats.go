@@ -14,10 +14,12 @@ import (
 // Sample is a collection of duration observations. The zero value is ready
 // to use. Sample is not safe for concurrent mutation.
 //
-// A sample sorts itself once, at its first order query. Sharded drivers sort
-// each shard's sample on its worker goroutine (Sort) and fold the sorted runs
-// into one accumulator with Merge, a linear pass, so the reducing goroutine
-// never sorts.
+// A sample sorts itself once, at its first order query, with a radix sort
+// that returns exactly what slices.Sort would (see sortDurations) at a few
+// linear passes over the sample plus one scratch buffer of half its size.
+// Sharded drivers sort each shard's sample on its worker goroutine (Sort)
+// and fold the sorted runs into one accumulator with Merge, a linear pass,
+// so the reducing goroutine never sorts.
 type Sample struct {
 	values []time.Duration
 	sorted bool
@@ -108,12 +110,97 @@ func (s *Sample) Values() []time.Duration {
 
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
-		// slices.Sort sorts in place without the closure and interface
-		// boxing of sort.Slice, so repeated percentile queries after the
-		// first sort are allocation-free.
-		slices.Sort(s.values)
+		sortDurations(s.values)
 		s.sorted = true
 	}
+}
+
+// radixCutoff is the length below which sortDurations hands over to
+// slices.Sort: a short slice does not repay the radix sort's histogram
+// pass and scratch buffer.
+const radixCutoff = 256
+
+// sortDurations sorts v ascending in place. Equal int64 keys are
+// indistinguishable, so its result is exactly the slice slices.Sort
+// returns; only the cost differs. A long unsorted input is split in two
+// halves, each half is radix-sorted (radixSort) through one scratch buffer
+// of half v's length, and the halves are merged back into v. Latencies
+// span a few of a key's eight bytes, so a typical sample costs a handful
+// of linear passes instead of pdqsort's n log n comparisons, and the
+// scratch buffer is half the sample, not a second copy of it.
+func sortDurations(v []time.Duration) {
+	n := len(v)
+	if n < radixCutoff {
+		slices.Sort(v)
+		return
+	}
+	if slices.IsSorted(v) {
+		return
+	}
+	mid := n / 2
+	scratch := make([]time.Duration, n-mid)
+	if hi := radixSort(v[mid:], scratch); &hi[0] != &v[mid] {
+		copy(v[mid:], hi)
+	}
+	lo := scratch[:mid]
+	if sorted := radixSort(v[:mid], lo); &sorted[0] != &lo[0] {
+		copy(lo, sorted)
+	}
+	// Merge forward: the write index i+j stays below the unread upper
+	// half's position mid+j, and once lo is used up the rest of the upper
+	// half is already in place.
+	hi := v[mid:]
+	i, j := 0, 0
+	for i < len(lo) && j < len(hi) {
+		if hi[j] < lo[i] {
+			v[i+j] = hi[j]
+			j++
+		} else {
+			v[i+j] = lo[i]
+			i++
+		}
+	}
+	copy(v[i+j:], lo[i:])
+}
+
+// radixSort sorts v by an LSD radix sort through buf (of v's length) and
+// returns whichever of the two holds the result. One pass counts all eight
+// 8-bit digits of the sign-flipped keys; each digit that not every key
+// shares then gets one stable scatter pass from one buffer to the other.
+func radixSort(v, buf []time.Duration) []time.Duration {
+	var counts [8][256]int
+	for _, x := range v {
+		k := uint64(x) ^ 1<<63
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	first := uint64(v[0]) ^ 1<<63
+	src, dst := v, buf
+	for d := range counts {
+		shift := 8 * d
+		c := &counts[d]
+		if c[byte(first>>shift)] == len(v) {
+			continue // every key has this digit: the pass would not move anything
+		}
+		// Turn the counts into each digit's first output index.
+		off := 0
+		for b := range c {
+			off, c[b] = off+c[b], off
+		}
+		for _, x := range src {
+			b := byte((uint64(x) ^ 1<<63) >> shift)
+			dst[c[b]] = x
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear

@@ -112,15 +112,24 @@ func WriteCDF(w io.Writer, res *Result) error {
 
 // LoadTraceCounts reads a per-interval arrival-count file: one non-negative
 // integer per line (arrivals in that interval), blank lines and #-comments
-// ignored — the shape `azuretrace` invocation rows reduce to.
+// ignored — the shape `azuretrace` invocation rows reduce to. A file whose
+// counts total more than MaxTraceArrivals is rejected at the line that
+// crosses the cap.
 func LoadTraceCounts(path string) ([]uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("stress: open trace: %w", err)
 	}
 	defer f.Close()
+	return readTraceCounts(f, path)
+}
+
+// readTraceCounts is LoadTraceCounts over an open reader; name labels
+// errors.
+func readTraceCounts(r io.Reader, name string) ([]uint64, error) {
 	var counts []uint64
-	sc := bufio.NewScanner(f)
+	var total uint64
+	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -130,15 +139,19 @@ func LoadTraceCounts(path string) ([]uint64, error) {
 		}
 		n, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("stress: trace %s line %d: %q is not a non-negative count", path, line, s)
+			return nil, fmt.Errorf("stress: trace %s line %d: %q is not a non-negative count", name, line, s)
 		}
+		if n > MaxTraceArrivals-total {
+			return nil, fmt.Errorf("stress: trace %s line %d: total exceeds %d arrivals", name, line, MaxTraceArrivals)
+		}
+		total += n
 		counts = append(counts, n)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("stress: read trace: %w", err)
 	}
 	if len(counts) == 0 {
-		return nil, fmt.Errorf("stress: trace %s has no counts", path)
+		return nil, fmt.Errorf("stress: trace %s has no counts", name)
 	}
 	return counts, nil
 }

@@ -92,7 +92,11 @@ func newPlan(opts Options) (*plan, error) {
 		if opts.TraceInterval <= 0 {
 			return nil, fmt.Errorf("stress: trace interval must be positive, got %v", opts.TraceInterval)
 		}
-		p.trace = expandTrace(opts.TraceCounts, opts.TraceInterval)
+		total, err := traceTotal(opts.TraceCounts)
+		if err != nil {
+			return nil, err
+		}
+		p.trace = expandTrace(opts.TraceCounts, total, opts.TraceInterval)
 		if len(p.trace) == 0 {
 			return nil, fmt.Errorf("stress: trace has zero arrivals")
 		}
@@ -121,14 +125,30 @@ func splitCount(total uint64, workers int) []uint64 {
 	return caps
 }
 
-// expandTrace turns per-interval counts into concrete arrival offsets:
-// interval i's count arrivals are spaced evenly across
-// [i*interval, (i+1)*interval).
-func expandTrace(counts []uint64, interval time.Duration) []time.Duration {
+// MaxTraceArrivals caps a trace's total arrival count. Trace mode expands
+// every arrival into an 8-byte offset before the run starts, so the cap
+// bounds that buffer at 128 MiB; a larger trace is rejected up front
+// instead of exhausting memory.
+const MaxTraceArrivals = 1 << 24
+
+// traceTotal sums per-interval counts, rejecting a total above
+// MaxTraceArrivals before anything is allocated. Checking each step
+// against the cap also rules out a sum that wraps past 2^64.
+func traceTotal(counts []uint64) (uint64, error) {
 	var total uint64
-	for _, c := range counts {
+	for i, c := range counts {
+		if c > MaxTraceArrivals-total {
+			return 0, fmt.Errorf("stress: trace total exceeds %d arrivals at interval %d", MaxTraceArrivals, i)
+		}
 		total += c
 	}
+	return total, nil
+}
+
+// expandTrace turns per-interval counts summing to total into concrete
+// arrival offsets: interval i's count arrivals are spaced evenly across
+// [i*interval, (i+1)*interval).
+func expandTrace(counts []uint64, total uint64, interval time.Duration) []time.Duration {
 	offsets := make([]time.Duration, 0, total)
 	for i, c := range counts {
 		start := time.Duration(i) * interval

@@ -8,12 +8,17 @@
 //
 //   - When no tracer is installed, the cloud pays one nil check per request
 //     and zero allocations (gated by the warm-invoke alloc-parity test).
-//   - When tracing is on, every request records into a pooled span buffer;
-//     at completion the tracer either commits the buffer (head-sampled by
-//     rate, or one of the K slowest so far — the tail is never lost to
-//     sampling) or recycles it. Committed traces live in a fixed-capacity
-//     ring that overwrites oldest-first, so memory is bounded regardless of
-//     series length and the steady state allocates nothing.
+//   - When tracing is on, a trace is retained if the request was
+//     head-sampled by rate at its arrival, or is one of the K slowest so
+//     far (the tail is never lost to sampling). The proc form records
+//     into a pooled span buffer as the request runs (Begin) and commits
+//     or recycles it at End. The cloud's callback form draws only the
+//     head-sampling decision at arrival (Sampled); at completion it asks
+//     Keep whether the trace would be retained and builds the spans from
+//     the request's breakdown only then, so a discarded request costs one
+//     draw and one comparison. Committed traces live in a fixed-capacity
+//     ring that overwrites oldest-first, so memory is bounded regardless
+//     of series length and the steady state allocates nothing.
 //   - Each simulation shard owns its tracer and runs single-threaded inside
 //     its DES engine, so the ring needs no locks; shards merge
 //     deterministically in index order.
@@ -316,20 +321,11 @@ func (t *Tracer) Begin(id uint64, fn string, now des.Time) *Req {
 	if t == nil {
 		return nil
 	}
-	sampled := t.cfg.SampleRate > 0 && t.rng.Float64() < t.cfg.SampleRate
+	sampled := t.Sampled()
 	if !sampled && t.cfg.SlowestK == 0 {
 		return nil
 	}
-	var r *Req
-	if n := len(t.pool); n > 0 {
-		r = t.pool[n-1]
-		t.pool[n-1] = nil
-		t.pool = t.pool[:n-1]
-	} else {
-		r = &Req{}
-	}
-	*r = Req{t: t, id: id, fn: fn, start: now, sampled: sampled, spans: r.spans[:0]}
-	return r
+	return t.get(id, fn, now, sampled)
 }
 
 // BeginAlways starts recording one request unconditionally, bypassing the
@@ -341,6 +337,32 @@ func (t *Tracer) BeginAlways(id uint64, fn string, now des.Time) *Req {
 	if t == nil {
 		return nil
 	}
+	return t.get(id, fn, now, true)
+}
+
+// Sampled draws one request's head-sampling decision: the draw Begin makes
+// at the request's arrival. A caller that records spans only after the
+// request completes (see Keep) draws here at arrival instead, so the
+// sampling stream is consumed in the same order as under Begin.
+func (t *Tracer) Sampled() bool {
+	return t.cfg.SampleRate > 0 && t.rng.Float64() < t.cfg.SampleRate
+}
+
+// Keep is Begin for a request that has already completed at end without
+// error: it returns a recording handle only when End would retain the
+// trace — the request was head-sampled (sampled, from Sampled at its
+// arrival) or qualifies for the slowest-K set — and nil otherwise, so a
+// discarded request costs one comparison and no span buffer. The caller
+// records the spans and then calls End(r, end, nil).
+func (t *Tracer) Keep(id uint64, fn string, start, end des.Time, sampled bool) *Req {
+	if !sampled && (t.cfg.SlowestK == 0 || !t.qualifiesSlow(end-start, id)) {
+		return nil
+	}
+	return t.get(id, fn, start, sampled)
+}
+
+// get takes a request record from the pool, or makes one.
+func (t *Tracer) get(id uint64, fn string, start des.Time, sampled bool) *Req {
 	var r *Req
 	if n := len(t.pool); n > 0 {
 		r = t.pool[n-1]
@@ -349,7 +371,7 @@ func (t *Tracer) BeginAlways(id uint64, fn string, now des.Time) *Req {
 	} else {
 		r = &Req{}
 	}
-	*r = Req{t: t, id: id, fn: fn, start: now, sampled: true, spans: r.spans[:0]}
+	*r = Req{t: t, id: id, fn: fn, start: start, sampled: sampled, spans: r.spans[:0]}
 	return r
 }
 
@@ -365,7 +387,7 @@ func (t *Tracer) End(r *Req, now des.Time, err error) {
 		return
 	}
 	r.end = now
-	if t.cfg.SlowestK > 0 && t.qualifiesSlow(r) {
+	if t.cfg.SlowestK > 0 && t.qualifiesSlow(r.end-r.start, r.id) {
 		if evicted := t.insertSlow(r); evicted != nil {
 			// A head-sampled trace pushed out of the slow set falls back to
 			// the ring it would otherwise have entered.
@@ -422,18 +444,24 @@ func (t *Tracer) pushRing(r *Req) {
 // slow retained trace, the first to be evicted. The id tie-break keeps
 // eviction deterministic under equal durations.
 func slowLess(a, b *Req) bool {
-	da, db := a.end-a.start, b.end-b.start
+	return slowKeyLess(a.end-a.start, a.id, b.end-b.start, b.id)
+}
+
+func slowKeyLess(da time.Duration, ida uint64, db time.Duration, idb uint64) bool {
 	if da != db {
 		return da < db
 	}
-	return a.id < b.id
+	return ida < idb
 }
 
-func (t *Tracer) qualifiesSlow(r *Req) bool {
+// qualifiesSlow reports whether a request of duration d and the given id
+// enters the slow set: the set has room, or the request outranks its root.
+func (t *Tracer) qualifiesSlow(d time.Duration, id uint64) bool {
 	if len(t.slow) < t.cfg.SlowestK {
 		return true
 	}
-	return slowLess(t.slow[0], r)
+	root := t.slow[0]
+	return slowKeyLess(root.end-root.start, root.id, d, id)
 }
 
 // insertSlow adds r to the slow set, returning the evicted trace when the

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -219,3 +220,38 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func nan() float64 { z := 0.0; return z / z }
+
+// TestKeepMatchesBeginEnd pins Keep against the Begin/End reference: a
+// tracer fed each request's sampling draw at arrival (Sampled) and asked
+// at completion (Keep) retains exactly the traces, ring overwrites and
+// slow set of one that recorded every request tentatively. Latencies
+// repeat, so slow-set ties break on the id.
+func TestKeepMatchesBeginEnd(t *testing.T) {
+	for _, cfg := range []Config{
+		{SampleRate: 0.1, SlowestK: 8, RingCapacity: 16},
+		{SampleRate: 0, SlowestK: 5},
+		{SampleRate: 1, RingCapacity: 4},
+		{SampleRate: 0.5},
+	} {
+		ref, got := newTestTracer(cfg, 9), newTestTracer(cfg, 9)
+		lat := rand.New(rand.NewSource(2))
+		for id := uint64(1); id <= 2000; id++ {
+			start := des.Time(id) * des.Time(time.Millisecond)
+			end := start + des.Time(lat.Intn(50)+1)*des.Time(time.Millisecond)
+			if r := ref.Begin(id, "fn", start); r != nil {
+				r.Mark(StageExec, end-start, end)
+				ref.End(r, end, nil)
+			}
+			if r := got.Keep(id, "fn", start, end, got.Sampled()); r != nil {
+				r.Mark(StageExec, end-start, end)
+				got.End(r, end, nil)
+			}
+		}
+		if ref.Dropped() != got.Dropped() {
+			t.Errorf("%+v: dropped %d, want %d", cfg, got.Dropped(), ref.Dropped())
+		}
+		if want, have := ref.Drain(), got.Drain(); !reflect.DeepEqual(have, want) || len(want) == 0 {
+			t.Errorf("%+v: Keep retained %d traces, Begin/End %d, or they differ", cfg, len(have), len(want))
+		}
+	}
+}
