@@ -19,7 +19,7 @@ type populationFlags struct {
 	duration               *time.Duration
 	shards, workers        *int
 	seed                   *int64
-	slack, iatLo, iatHi    *time.Duration
+	iatLo, iatHi           *time.Duration
 	alpha                  *float64
 	maxConc                *int
 	jsonPath, csvPath      *string
@@ -37,7 +37,6 @@ func addPopulationFlags(fs *flag.FlagSet, tenants int, duration time.Duration) *
 		shards:       fs.Int("shards", 8, "independent simulation shards per policy"),
 		workers:      fs.Int("workers", 0, "concurrent shard simulations (0 = all CPUs, 1 = serial)"),
 		seed:         fs.Int64("seed", 1, "random seed"),
-		slack:        fs.Duration("slack", 0, "keep-alive timer slack: route expiries via the timer wheel at this tick (0 = exact)"),
 		iatLo:        fs.Duration("iat-lo", time.Second, "lower bound of per-tenant mean inter-arrival time"),
 		iatHi:        fs.Duration("iat-hi", time.Minute, "upper bound of per-tenant mean inter-arrival time"),
 		alpha:        fs.Float64("alpha", 0.02, "per-tenant latency sketch relative accuracy"),
@@ -64,7 +63,6 @@ func (f *populationFlags) options() (experiments.CostOptions, error) {
 		Shards:         *f.shards,
 		Workers:        *f.workers,
 		Seed:           *f.seed,
-		SlackTick:      *f.slack,
 		MeanIATLo:      *f.iatLo,
 		MeanIATHi:      *f.iatHi,
 		Alpha:          *f.alpha,

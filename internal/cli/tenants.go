@@ -46,7 +46,6 @@ func cmdTenants(args []string, stdout io.Writer) (err error) {
 		Shards:         c.Shards,
 		Workers:        c.Workers,
 		Seed:           c.Seed,
-		SlackTick:      c.SlackTick,
 		MeanIATLo:      c.MeanIATLo,
 		MeanIATHi:      c.MeanIATHi,
 		Alpha:          c.Alpha,

@@ -202,9 +202,6 @@ func New(eng *des.Engine, cfg Config, streams *dist.Streams) (*Cloud, error) {
 	if cfg.WorkerCapacity > 0 {
 		c.capRes = des.NewResource(eng, cfg.Workers*cfg.WorkerCapacity)
 	}
-	if cfg.KeepAliveSlack > 0 {
-		eng.SetTimerSlack(cfg.KeepAliveSlack)
-	}
 	return c, nil
 }
 

@@ -308,15 +308,6 @@ type Config struct {
 	// resume — well below a cold boot (the scale-to-zero literature
 	// reports tens to hundreds of ms for snapshot-resident state).
 	ResumeDelay dist.Dist
-	// KeepAliveSlack, when positive, routes keep-alive expiry timers to
-	// the engine's coarse timer wheel at this tick granularity: expiries
-	// fire up to one tick late (never early) and arm/cancel in O(1) with
-	// zero steady-state allocations — the difference between O(log n) and
-	// O(1) per warm hit once hundreds of thousands of idle instances each
-	// hold a timer. Zero (the default) keeps expiries on the exact heap,
-	// byte-identical to all prior behavior. A lifetime of minutes is
-	// semantically unchanged by a slack of, say, one second.
-	KeepAliveSlack time.Duration
 
 	// Workers is the number of physical hosts.
 	Workers int
@@ -385,9 +376,6 @@ func (c *Config) Validate() error {
 	}
 	if c.KeepAlive.Fixed <= 0 && c.KeepAlive.Dist == nil {
 		return fmt.Errorf("cloud %s: keep-alive policy unset", c.Name)
-	}
-	if c.KeepAliveSlack < 0 {
-		return fmt.Errorf("cloud %s: negative keep-alive slack", c.Name)
 	}
 	if c.DefaultMemoryMB < 0 || c.FullSpeedMemoryMB < 0 {
 		return fmt.Errorf("cloud %s: negative memory configuration", c.Name)

@@ -269,9 +269,7 @@ func (fn *Function) dropBuffered(pr *pendingReq) {
 // parkIdle moves an instance to the idle pool and sets its keep-alive
 // deadline under the function's (possibly per-tenant) policy. A timer is
 // armed only when none is pending, or when the pending one is later than
-// the new deadline (a Dist policy can draw a shorter life). Expiries route
-// through AfterSlack so a provider-scale simulation can coarsen them onto
-// the timer wheel; with KeepAliveSlack unset this is exactly After.
+// the new deadline (a Dist policy can draw a shorter life).
 func (fn *Function) parkIdle(inst *Instance) {
 	fn.noteUsage(inst)
 	inst.state = stateIdle
@@ -298,7 +296,7 @@ func (fn *Function) parkIdle(inst *Instance) {
 // armKeepAlive arms inst's keep-alive timer for its idle deadline.
 func (fn *Function) armKeepAlive(inst *Instance) {
 	inst.keepAliveAt = inst.idleUntil
-	inst.keepAlive = fn.c.eng.AfterSlack(inst.idleUntil-fn.c.eng.Now(), inst.keepAliveFn)
+	inst.keepAlive = fn.c.eng.After(inst.idleUntil-fn.c.eng.Now(), inst.keepAliveFn)
 }
 
 // keepAliveDue runs when inst's keep-alive timer fires. A busy instance

@@ -13,13 +13,11 @@ import (
 // it fires early. These tests pin that the laziness is invisible: every
 // expiry lands where a timer re-armed on every release would have put it.
 
-// kaCloud is a single-function cloud under a keep-alive policy, with an
-// optional slack tick.
-func kaCloud(t *testing.T, ka KeepAlivePolicy, slack time.Duration) (*des.Engine, *Cloud) {
+// kaCloud is a single-function cloud under a keep-alive policy.
+func kaCloud(t *testing.T, ka KeepAlivePolicy) (*des.Engine, *Cloud) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.KeepAlive = ka
-	cfg.KeepAliveSlack = slack
 	eng, c := newTestCloud(t, cfg)
 	deploy(t, c, FunctionSpec{Name: "f"})
 	return eng, c
@@ -57,11 +55,6 @@ func expiresAt(t *testing.T, eng *des.Engine, c *Cloud, fn string, at des.Time) 
 	}
 }
 
-// ceilTick rounds d up to a whole number of ticks, as the slack wheel does.
-func ceilTick(d, tick time.Duration) time.Duration {
-	return (d + tick - 1) / tick * tick
-}
-
 // drained asserts the engine has nothing left after Run(0).
 func drained(t *testing.T, eng *des.Engine) {
 	t.Helper()
@@ -73,33 +66,27 @@ func drained(t *testing.T, eng *des.Engine) {
 
 // TestKeepAliveExpiresAtLastRelease: an instance reused several times
 // within its keep-alive expires at its last release plus the keep-alive,
-// exactly, and at that instant's wheel tick under KeepAliveSlack. The
-// first timer, armed after the cold start, fires early and re-arms.
+// exactly. The first timer, armed after the cold start, fires early and
+// re-arms.
 func TestKeepAliveExpiresAtLastRelease(t *testing.T) {
 	const life = 30 * time.Second
-	for _, slack := range []time.Duration{0, time.Second} {
-		eng, c := kaCloud(t, KeepAlivePolicy{Fixed: life}, slack)
-		var rel releases
-		for _, at := range []time.Duration{0, 10 * time.Second, 20 * time.Second, 27 * time.Second} {
-			rel.invokeAt(eng, c, at, Request{Fn: "f", ExecTime: 5 * time.Millisecond})
-		}
-		eng.Run(28 * time.Second)
-		if len(rel) != 4 || c.Metrics().WarmServed != 3 {
-			t.Fatalf("slack %v: %d served, %d warm; want 4 and 3", slack, len(rel), c.Metrics().WarmServed)
-		}
-		want := rel.last() + life
-		if slack > 0 {
-			want = ceilTick(want, slack)
-		}
-		expiresAt(t, eng, c, "f", want)
-		if got := c.Metrics().Expirations; got != 1 {
-			t.Fatalf("slack %v: %d expirations, want 1", slack, got)
-		}
-		if got := eng.Stats().TimersCanceled; slack == 0 && got != 0 {
-			t.Fatalf("exact keep-alive canceled %d timers, want 0", got)
-		}
-		drained(t, eng)
+	eng, c := kaCloud(t, KeepAlivePolicy{Fixed: life})
+	var rel releases
+	for _, at := range []time.Duration{0, 10 * time.Second, 20 * time.Second, 27 * time.Second} {
+		rel.invokeAt(eng, c, at, Request{Fn: "f", ExecTime: 5 * time.Millisecond})
 	}
+	eng.Run(28 * time.Second)
+	if len(rel) != 4 || c.Metrics().WarmServed != 3 {
+		t.Fatalf("%d served, %d warm; want 4 and 3", len(rel), c.Metrics().WarmServed)
+	}
+	expiresAt(t, eng, c, "f", rel.last()+life)
+	if got := c.Metrics().Expirations; got != 1 {
+		t.Fatalf("%d expirations, want 1", got)
+	}
+	if got := eng.Stats().TimersCanceled; got != 0 {
+		t.Fatalf("exact keep-alive canceled %d timers, want 0", got)
+	}
+	drained(t, eng)
 }
 
 // seqDist is a keep-alive distribution that returns its values in order.
@@ -117,25 +104,19 @@ func (d *seqDist) String() string { return "seq" }
 // than the pending timer's, the timer moves earlier and the instance
 // expires at the shorter deadline.
 func TestKeepAliveShorterDistRedraw(t *testing.T) {
-	for _, slack := range []time.Duration{0, time.Second} {
-		ka := KeepAlivePolicy{Dist: &seqDist{vals: []time.Duration{time.Minute, 10 * time.Second}}}
-		eng, c := kaCloud(t, ka, slack)
-		var rel releases
-		rel.invokeAt(eng, c, 0, Request{Fn: "f"})
-		rel.invokeAt(eng, c, 5*time.Second, Request{Fn: "f"})
-		eng.Run(6 * time.Second)
-		if len(rel) != 2 {
-			t.Fatalf("slack %v: %d served, want 2", slack, len(rel))
-		}
-		want := rel.last() + 10*time.Second
-		if slack > 0 {
-			want = ceilTick(want, slack)
-		}
-		expiresAt(t, eng, c, "f", want)
-		drained(t, eng)
-		if got := c.Metrics().Expirations; got != 1 {
-			t.Fatalf("slack %v: %d expirations, want 1", slack, got)
-		}
+	ka := KeepAlivePolicy{Dist: &seqDist{vals: []time.Duration{time.Minute, 10 * time.Second}}}
+	eng, c := kaCloud(t, ka)
+	var rel releases
+	rel.invokeAt(eng, c, 0, Request{Fn: "f"})
+	rel.invokeAt(eng, c, 5*time.Second, Request{Fn: "f"})
+	eng.Run(6 * time.Second)
+	if len(rel) != 2 {
+		t.Fatalf("%d served, want 2", len(rel))
+	}
+	expiresAt(t, eng, c, "f", rel.last()+10*time.Second)
+	drained(t, eng)
+	if got := c.Metrics().Expirations; got != 1 {
+		t.Fatalf("%d expirations, want 1", got)
 	}
 }
 
@@ -144,7 +125,7 @@ func TestKeepAliveShorterDistRedraw(t *testing.T) {
 // and the next release arms a fresh timer for release plus keep-alive.
 func TestKeepAliveStaleTimerOnBusyInstance(t *testing.T) {
 	const life = 10 * time.Second
-	eng, c := kaCloud(t, KeepAlivePolicy{Fixed: life}, 0)
+	eng, c := kaCloud(t, KeepAlivePolicy{Fixed: life})
 	var rel releases
 	rel.invokeAt(eng, c, 0, Request{Fn: "f"})
 	rel.invokeAt(eng, c, 5*time.Second, Request{Fn: "f", ExecTime: 20 * time.Second})
@@ -180,7 +161,7 @@ func TestKeepAliveStaleTimerAfterLifecycleExit(t *testing.T) {
 		},
 		"crashed": func(_ *Cloud, fn *Function) { fn.destroy(fn.claimIdle()) },
 	} {
-		eng, c := kaCloud(t, KeepAlivePolicy{Fixed: life}, 0)
+		eng, c := kaCloud(t, KeepAlivePolicy{Fixed: life})
 		deploy(t, c, FunctionSpec{Name: "g"})
 		var rel releases
 		rel.invokeAt(eng, c, 0, Request{Fn: "f"})

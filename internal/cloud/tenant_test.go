@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/stellar-repro/stellar/internal/des"
-	"github.com/stellar-repro/stellar/internal/dist"
 	"github.com/stellar-repro/stellar/internal/stats"
 )
 
@@ -253,50 +252,5 @@ func TestFunctionPoolingOnRemove(t *testing.T) {
 	}
 	if tm.Invocations != 0 || tm.InstanceSeconds != 0 {
 		t.Fatalf("recycled record leaked state: %+v", tm)
-	}
-}
-
-// TestKeepAliveSlackEquivalence: the same workload with and without
-// keep-alive slack serves identically (slack only quantizes expiry
-// instants, and the drain horizon far exceeds one tick).
-func TestKeepAliveSlackEquivalence(t *testing.T) {
-	run := func(slack time.Duration) (Metrics, time.Duration) {
-		cfg := testConfig()
-		cfg.KeepAlive = KeepAlivePolicy{Fixed: 2 * time.Second}
-		cfg.KeepAliveSlack = slack
-		eng := des.NewEngine()
-		defer eng.Close()
-		c, err := New(eng, cfg, dist.NewStreams(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Deploy(FunctionSpec{Name: "f", Runtime: RuntimePython, Method: DeployZIP}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 20; i++ {
-			i := i
-			eng.Spawn("req", func(p *des.Proc) {
-				p.Sleep(time.Duration(i) * 300 * time.Millisecond)
-				if _, err := c.Invoke(p, &Request{Fn: "f"}); err != nil {
-					t.Error(err)
-				}
-			})
-		}
-		eng.Run(0)
-		return c.Metrics(), eng.Now()
-	}
-	exact, exactEnd := run(0)
-	slacked, slackEnd := run(100 * time.Millisecond)
-	if exact.Invocations != slacked.Invocations ||
-		exact.ColdServed != slacked.ColdServed ||
-		exact.Expirations != slacked.Expirations {
-		t.Fatalf("slack changed serve counts: exact=%+v slacked=%+v", exact, slacked)
-	}
-	// Expiries may land up to one tick later, never earlier.
-	if slackEnd < exactEnd {
-		t.Fatalf("slacked run ended earlier (%v) than exact (%v)", slackEnd, exactEnd)
-	}
-	if slackEnd > exactEnd+200*time.Millisecond {
-		t.Fatalf("slacked run overshot: %v vs %v", slackEnd, exactEnd)
 	}
 }

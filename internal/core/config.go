@@ -130,6 +130,9 @@ func (sc *StaticConfig) Validate() error {
 		if fc.Replicas < 0 {
 			return fmt.Errorf("core: function %q has negative replicas", fc.Name)
 		}
+		if fc.ExecTime < 0 {
+			return fmt.Errorf("core: function %q has negative exec_time", fc.Name)
+		}
 		if fc.Chain != nil {
 			if fc.Chain.Length < 2 {
 				return fmt.Errorf("core: function %q chain needs length >= 2", fc.Name)
@@ -139,6 +142,9 @@ func (sc *StaticConfig) Validate() error {
 			}
 			if fc.Chain.Fanout < 0 {
 				return fmt.Errorf("core: function %q has negative fanout", fc.Name)
+			}
+			if fc.Chain.PayloadBytes < 0 {
+				return fmt.Errorf("core: function %q has negative chain payload_bytes", fc.Name)
 			}
 		}
 	}
@@ -239,6 +245,12 @@ func (rc *RuntimeConfig) Validate() error {
 	}
 	if rc.WarmupDiscard < 0 {
 		return fmt.Errorf("core: warmup discard must be >= 0")
+	}
+	if rc.ExecTime < 0 {
+		return fmt.Errorf("core: exec_time must be >= 0")
+	}
+	if rc.PayloadBytes < 0 {
+		return fmt.Errorf("core: payload_bytes must be >= 0")
 	}
 	return nil
 }

@@ -84,6 +84,10 @@ func TestStaticConfigValidate(t *testing.T) {
 			{Name: "f", Chain: &ChainConfig{Length: 1, Transfer: "inline"}}}}, false},
 		{"bad transfer", StaticConfig{Provider: "sim", Functions: []FunctionConfig{
 			{Name: "f", Chain: &ChainConfig{Length: 2, Transfer: "smoke"}}}}, false},
+		{"negative payload", StaticConfig{Provider: "sim", Functions: []FunctionConfig{
+			{Name: "f", Chain: &ChainConfig{Length: 2, Transfer: "storage", PayloadBytes: -1 << 20}}}}, false},
+		{"negative exec time", StaticConfig{Provider: "sim", Functions: []FunctionConfig{
+			{Name: "f", ExecTime: Duration(-time.Millisecond)}}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.sc.Validate()
@@ -110,6 +114,8 @@ func TestRuntimeConfigValidateDefaults(t *testing.T) {
 		{Samples: 10, IAT: Duration(time.Second), BurstSize: -1},
 		{Samples: 10, IAT: Duration(time.Second), IATDist: "zipf"},
 		{Samples: 10, IAT: Duration(time.Second), WarmupDiscard: -1},
+		{Samples: 10, IAT: Duration(time.Second), ExecTime: Duration(-time.Millisecond)},
+		{Samples: 10, IAT: Duration(time.Second), PayloadBytes: -1 << 20},
 	}
 	for i, rc := range bad {
 		if err := rc.Validate(); err == nil {

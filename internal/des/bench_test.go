@@ -151,33 +151,28 @@ func BenchmarkResourceContention(b *testing.B) {
 	e.Run(0)
 }
 
-// benchmarkKeepAliveTimers is the provider-scale keep-alive regime: 100k
-// live timers (one per idle instance across thousands of tenants) while a
-// steady arrival stream cancels one and re-arms it per operation, plus the
-// natural trickle of expiries. The driver tick is a cancelable heap timer
-// on purpose: cancelable events are never front-cached, so in heap mode
-// every operation pays two O(log n) pushes against the full 100k-event heap
-// (the re-armed keep-alive fills the root hole the tick leaves, the next
-// tick sifts up), and the canceled keep-alives ride along as dead entries
-// until compaction — the honest cost the wheel is built to remove. With
-// slack > 0 the keep-alives move to the timer wheel and the heap holds
-// only the tick and the wheel's alarm.
-func benchmarkKeepAliveTimers(b *testing.B, slack time.Duration) {
+// BenchmarkKeepAliveTimersHeap is the provider-scale keep-alive regime:
+// 100k live timers (one per idle instance across thousands of tenants)
+// while a steady arrival stream cancels one and re-arms it per operation,
+// plus the natural trickle of expiries. The driver tick is a cancelable
+// heap timer on purpose: cancelable events are never front-cached, so every
+// operation pays two O(log n) pushes against the full 100k-event heap (the
+// re-armed keep-alive fills the root hole the tick leaves, the next tick
+// sifts up), and the canceled keep-alives ride along as dead entries until
+// compaction.
+func BenchmarkKeepAliveTimersHeap(b *testing.B) {
 	const live = 100_000
-	const life = 10 * time.Minute // well under the wheel horizon at 100ms ticks
+	const life = 10 * time.Minute
 	e := NewEngine()
 	defer e.Close()
-	if slack > 0 {
-		e.SetTimerSlack(slack)
-	}
 	timers := make([]Timer, live)
 	fns := make([]func(), live)
 	for i := range fns {
 		i := i
-		fns[i] = func() { timers[i] = e.AfterSlack(life, fns[i]) }
+		fns[i] = func() { timers[i] = e.After(life, fns[i]) }
 	}
 	for i := range timers {
-		timers[i] = e.AfterSlack(time.Duration(i+1)*(life/live), fns[i])
+		timers[i] = e.After(time.Duration(i+1)*(life/live), fns[i])
 	}
 	n, stop, next := 0, 0, 0
 	var tick func()
@@ -188,17 +183,17 @@ func benchmarkKeepAliveTimers(b *testing.B, slack time.Duration) {
 			next = 0
 		}
 		if timers[i].Cancel() {
-			timers[i] = e.AfterSlack(life, fns[i])
+			timers[i] = e.After(life, fns[i])
 		}
 		n++
 		if n < stop {
 			e.After(time.Millisecond, tick)
 		}
 	}
-	// Warm-up: grow the heap, handle table, and wheel node array to their
-	// high-water marks so the timed region measures steady state. Canceled
-	// heap timers stay behind as dead entries until they outnumber the live
-	// ones, so the heap array peaks only after one full round of cancels.
+	// Warm-up: grow the heap and handle table to their high-water marks so
+	// the timed region measures steady state. Canceled timers stay behind as
+	// dead entries until they outnumber the live ones, so the heap array
+	// peaks only after one full round of cancels.
 	stop = live + 200
 	e.After(time.Millisecond, tick)
 	e.Run(e.Now() + time.Duration(stop+1)*time.Millisecond)
@@ -211,15 +206,6 @@ func benchmarkKeepAliveTimers(b *testing.B, slack time.Duration) {
 	if n != b.N {
 		b.Fatalf("ran %d of %d churn ops", n, b.N)
 	}
-}
-
-// BenchmarkKeepAliveTimersHeap is the exact-heap baseline at 100k live timers.
-func BenchmarkKeepAliveTimersHeap(b *testing.B) { benchmarkKeepAliveTimers(b, 0) }
-
-// BenchmarkKeepAliveTimersWheel is the same churn on the slack wheel; the
-// acceptance bar is >= 40% ns/op under the heap with 0 allocs/op.
-func BenchmarkKeepAliveTimersWheel(b *testing.B) {
-	benchmarkKeepAliveTimers(b, 100*time.Millisecond)
 }
 
 // BenchmarkCallbackChain measures a self-rescheduling callback chain — the

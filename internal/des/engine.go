@@ -79,14 +79,11 @@ type event struct {
 // timerHandle is one slot of the engine's cancelable-timer table. Slots are
 // recycled through a free list; gen increments on every fire/cancel so stale
 // Timer copies referring to a recycled slot are inert, and a Timer is
-// pending exactly while its generation matches. Heap timers and slack-wheel
-// timers (wheel.go) share this table, so a Timer value is the same opaque
-// handle either way. A canceled heap timer keeps its slot until its dead
-// event leaves the heap, so the slot's generation cannot move on while an
-// event still carries it.
+// pending exactly while its generation matches. A canceled timer keeps its
+// slot until its dead event leaves the heap, so the slot's generation
+// cannot move on while an event still carries it.
 type timerHandle struct {
-	gen  uint32
-	node int32 // timer wheel node index of a pending slack timer, else -1
+	gen uint32
 }
 
 // Timer is a handle to a scheduled callback that can be canceled. The zero
@@ -97,11 +94,11 @@ type Timer struct {
 	gen uint32
 }
 
-// Cancel prevents the timer's callback from firing, in O(1): a heap timer's
+// Cancel prevents the timer's callback from firing, in O(1): the timer's
 // event stays behind as a dead entry that the heap discards when it reaches
-// the root or at the next compaction, and a wheel timer is unlinked at once.
-// Canceling an already fired, canceled, or zero Timer is a no-op. Cancel
-// reports whether the callback was prevented.
+// the root or at the next compaction. Canceling an already fired, canceled,
+// or zero Timer is a no-op. Cancel reports whether the callback was
+// prevented.
 func (t Timer) Cancel() bool {
 	e := t.eng
 	if e == nil {
@@ -113,12 +110,6 @@ func (t Timer) Cancel() bool {
 	}
 	h.gen++
 	e.stats.TimersCanceled++
-	if h.node >= 0 {
-		e.wheel.unlink(h.node)
-		h.node = -1
-		e.freeHandles = append(e.freeHandles, t.id)
-		return true
-	}
 	e.dead++
 	if e.dead > compactMin && 2*e.dead > len(e.events) {
 		e.compact()
@@ -148,10 +139,6 @@ type Engine struct {
 
 	handles     []timerHandle
 	freeHandles []int32
-
-	// wheel is the optional coarse-slack timer facility (wheel.go), nil
-	// unless SetTimerSlack installed one. It shares the handle table above.
-	wheel *wheel
 
 	// next is a one-event front cache: when a virtual-time event schedules
 	// its successor and that successor precedes everything in the heap, it
@@ -512,7 +499,7 @@ func (e *Engine) newHandle() int32 {
 		e.freeHandles = e.freeHandles[:n-1]
 		return id
 	}
-	e.handles = append(e.handles, timerHandle{node: -1})
+	e.handles = append(e.handles, timerHandle{})
 	return int32(len(e.handles) - 1)
 }
 
@@ -819,7 +806,6 @@ func (e *Engine) Close() {
 	e.hasNext = false
 	e.handles = nil
 	e.freeHandles = nil
-	e.wheel = nil
 }
 
 // Stats is a snapshot of the engine's work counters since NewEngine. Every
@@ -827,8 +813,8 @@ func (e *Engine) Close() {
 // runs of the same seed are equal and can be pinned exactly, unlike host
 // time.
 type Stats struct {
-	// Events counts dispatched events: callbacks, process resumes, and
-	// slack timers fired by a wheel alarm (the alarm itself counts too).
+	// Events counts dispatched events: callbacks, process resumes and
+	// fired timers.
 	Events uint64
 	// FrontHits counts events dispatched from the one-event front cache,
 	// i.e. without any heap traffic.
@@ -836,12 +822,8 @@ type Stats struct {
 	// HeapPushes counts insertions into the heap, including front-cache
 	// evictions.
 	HeapPushes uint64
-	// TimersArmed counts cancelable timers scheduled with At, After or
-	// AfterSlack, including the slack wheel's own alarms.
+	// TimersArmed counts cancelable timers scheduled with At or After.
 	TimersArmed uint64
-	// SlackTimersArmed is the part of TimersArmed placed on the slack
-	// wheel; AfterSlack timers beyond its horizon go to the heap instead.
-	SlackTimersArmed uint64
 	// TimersCanceled counts Cancel calls that prevented a callback.
 	TimersCanceled uint64
 	// PeakPending is the largest PendingEvents value reached.
@@ -854,10 +836,10 @@ type Stats struct {
 func (e *Engine) Stats() Stats { return e.stats }
 
 // PendingEvents reports the number of scheduled live events (including the
-// front-cached one and any timers parked on the slack wheel). Canceled
-// timers leave the count at Cancel, even while their dead entries wait in
-// the heap array; compaction bounds those entries, so the array stays
-// bounded under timer churn (WaitTimeout cancel/fire cycles) as well.
+// front-cached one). Canceled timers leave the count at Cancel, even while
+// their dead entries wait in the heap array; compaction bounds those
+// entries, so the array stays bounded under timer churn (WaitTimeout
+// cancel/fire cycles) as well.
 func (e *Engine) PendingEvents() int {
 	n := len(e.events) - e.dead
 	if e.vacant {
@@ -865,9 +847,6 @@ func (e *Engine) PendingEvents() int {
 	}
 	if e.hasNext {
 		n++
-	}
-	if e.wheel != nil {
-		n += e.wheel.count
 	}
 	return n
 }

@@ -6,15 +6,13 @@ import (
 )
 
 // FuzzEventQueue drives the event queue with a byte program of random
-// Call, CallAt, CallAfter, At, After and AfterSlack calls (with and without
-// a slack wheel) and random Cancel calls, and checks it against a reference
-// model after every operation and on every dispatch:
+// Call, CallAt, CallAfter, At and After calls and random Cancel calls, and
+// checks it against a reference model after every operation and on every
+// dispatch:
 //
-//   - each exact event dispatches at its instant, and only when it is the
-//     least live exact event by (at, seq), so the dispatch order equals the
-//     live events sorted by (at, seq);
-//   - each slack timer fires once, on a tick, within one tick after its
-//     deadline, and never after an exact event that was due before it;
+//   - each event dispatches at its instant, and only when it is the least
+//     live event by (at, seq), so the dispatch order equals the live events
+//     sorted by (at, seq);
 //   - canceled timers never fire, and Cancel reports true only for a live
 //     timer;
 //   - PendingEvents equals the live count, and the heap array never holds
@@ -41,17 +39,11 @@ func FuzzEventQueue(f *testing.F) {
 	})
 }
 
-// queueTick is the slack-wheel tick of programs whose first byte is odd.
-// Its wheel horizon of 16128 ticks (about 16s) lies inside the far delays
-// the program draws, so both wheel placement and heap fallback occur.
-const queueTick = time.Millisecond
-
 // queueEntry is the reference model's record of one scheduled callback.
 type queueEntry struct {
 	at     Time
-	seq    uint64 // exact events only
-	slack  bool   // a timer placed on the slack wheel
-	t      Timer  // zero for uncancelable events
+	seq    uint64
+	t      Timer // zero for uncancelable events
 	live   bool
 	ignore bool // fired or canceled; its Timer value is stale
 	pos    int  // index in queueModel.live while live
@@ -67,12 +59,11 @@ type queueModel struct {
 	live    []int // entry indices of the live events
 }
 
+// runQueueProgram runs a byte program. Its first byte is skipped, which
+// keeps the committed corpus entries' operations aligned.
 func runQueueProgram(t *testing.T, data []byte) {
 	e := NewEngine()
 	defer e.Close()
-	if data[0]&1 == 1 {
-		e.SetTimerSlack(queueTick)
-	}
 	m := &queueModel{t: t, e: e, prog: data[1:]}
 	for m.pc < len(m.prog) {
 		m.step()
@@ -130,12 +121,10 @@ func (m *queueModel) op(code, arg byte) {
 		// A past instant clamps to now.
 		at := now + d - 2*time.Millisecond
 		m.exact(max(at, now), func(fn func()) { e.CallAt(at, fn) })
-	case 3:
+	case 3, 5:
 		m.timer(now+d, func(fn func()) Timer { return e.After(d, fn) })
 	case 4:
 		m.timer(now+d, func(fn func()) Timer { return e.At(now+d, fn) })
-	case 5:
-		m.timer(now+d, func(fn func()) Timer { return e.AfterSlack(d, fn) })
 	case 6:
 		if len(m.timers) > 0 {
 			m.cancel(m.timers[int(arg)%len(m.timers)])
@@ -185,17 +174,12 @@ func (m *queueModel) exact(at Time, sched func(func())) {
 	m.entries[id].seq = m.e.seq
 }
 
-// timer arms a cancelable callback through sched and records it, noting
-// whether it landed on the slack wheel.
+// timer arms a cancelable callback through sched and records it.
 func (m *queueModel) timer(at Time, sched func(func()) Timer) {
 	id := m.add(at)
-	tm := sched(func() { m.fire(id) })
 	en := &m.entries[id]
-	en.t = tm
-	en.slack = m.e.handles[tm.id].node >= 0
-	if !en.slack {
-		en.seq = m.e.seq
-	}
+	en.t = sched(func() { m.fire(id) })
+	en.seq = m.e.seq
 	m.timers = append(m.timers, id)
 }
 
@@ -217,11 +201,7 @@ func (m *queueModel) fire(id int) {
 	if !en.live {
 		t.Fatalf("entry %d fired but is not live (fired or canceled before)", id)
 	}
-	if en.slack {
-		if now < en.at || now > en.at+queueTick || now%queueTick != 0 {
-			t.Fatalf("slack timer %d due %v fired at %v", id, en.at, now)
-		}
-	} else if now != en.at {
+	if now != en.at {
 		t.Fatalf("entry %d due %v fired at %v", id, en.at, now)
 	}
 	for _, j := range m.live {
@@ -229,13 +209,7 @@ func (m *queueModel) fire(id int) {
 		if j == id {
 			continue
 		}
-		if o.slack {
-			if o.at+queueTick < now {
-				t.Fatalf("slack timer %d due %v still pending at %v", j, o.at, now)
-			}
-			continue
-		}
-		if o.at < now || (!en.slack && o.at == now && o.seq < en.seq) {
+		if o.at < now || (o.at == now && o.seq < en.seq) {
 			t.Fatalf("entry %d (at %v seq %d) dispatched before entry %d (at %v seq %d)",
 				id, en.at, en.seq, j, o.at, o.seq)
 		}
@@ -250,9 +224,6 @@ func (m *queueModel) fire(id int) {
 func (m *queueModel) check() {
 	t, e := m.t, m.e
 	want := len(m.live)
-	if e.wheel != nil && e.wheel.alarm.Pending() {
-		want++ // the wheel's own alarm is a live heap timer
-	}
 	if got := e.PendingEvents(); got != want {
 		t.Fatalf("PendingEvents = %d, model has %d live events", got, want)
 	}

@@ -21,42 +21,23 @@ func TestStatsCounts(t *testing.T) {
 	}
 }
 
-// TestStatsSlackWheel counts a slack timer twice, once on insert and once
-// for the wheel alarm that carries it, and dispatches both the alarm and
-// the timer it fires.
-func TestStatsSlackWheel(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	e.SetTimerSlack(10 * time.Millisecond)
-	fired := false
-	e.AfterSlack(25*time.Millisecond, func() { fired = true })
-	e.Run(0)
-	want := Stats{Events: 2, HeapPushes: 1, TimersArmed: 2, SlackTimersArmed: 1, PeakPending: 2}
-	if got := e.Stats(); !fired || got != want {
-		t.Fatalf("fired=%v Stats = %+v, want %+v", fired, got, want)
-	}
-}
-
-// TestStatsProcsAndSlackSplit pins the two counters that split the work by
-// facility: every Spawn counts once, and only AfterSlack timers that land
-// on the wheel count as slack timers. A deadline beyond the wheel's
-// horizon falls back to the heap and counts in TimersArmed alone, as do
-// the wheel's alarm and plain After timers.
+// TestStatsProcsAndSlackSplit pins the counters that split the work by
+// kind: every Spawn counts once in ProcsSpawned, and every After timer,
+// near or far, counts once in TimersArmed.
 func TestStatsProcsAndSlackSplit(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	e.SetTimerSlack(time.Millisecond)
 	e.Spawn("a", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		e.Spawn("b", func(*Proc) {})
 	})
-	e.AfterSlack(5*time.Millisecond, func() {})
-	e.AfterSlack(time.Hour, func() {}) // beyond the 16128-tick horizon
+	e.After(5*time.Millisecond, func() {})
+	e.After(time.Hour, func() {})
 	e.After(2*time.Millisecond, func() {})
 	e.Run(0)
 	got := e.Stats()
-	if got.ProcsSpawned != 2 || got.SlackTimersArmed != 1 || got.TimersArmed != 4 {
-		t.Fatalf("Stats = %+v, want ProcsSpawned 2, SlackTimersArmed 1, TimersArmed 4", got)
+	if got.ProcsSpawned != 2 || got.TimersArmed != 3 {
+		t.Fatalf("Stats = %+v, want ProcsSpawned 2, TimersArmed 3", got)
 	}
 }
 

@@ -138,8 +138,6 @@ type CostOptions struct {
 	AppIAT time.Duration
 	// AppExec is the per-node busy time of the workflow app (default 20ms).
 	AppExec time.Duration
-	// SlackTick routes keep-alive expiries onto the timer wheel (0 = exact).
-	SlackTick time.Duration
 
 	// top keeps each policy's N worst tenants by p99 (the tenants report's
 	// -top; 0 = none).
@@ -258,9 +256,6 @@ func (o CostOptions) validate() error {
 	}
 	if o.MeanIATLo > o.MeanIATHi {
 		return fmt.Errorf("mean IAT bounds inverted (%v > %v)", o.MeanIATLo, o.MeanIATHi)
-	}
-	if o.SlackTick < 0 {
-		return fmt.Errorf("negative slack tick")
 	}
 	if err := sketch.ValidateAlpha(o.Alpha); err != nil {
 		return err
@@ -539,7 +534,6 @@ func runPopulationShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shar
 	} else {
 		cfg.KeepAlive = cloud.KeepAlivePolicy{Fixed: pol.KeepAlive}
 	}
-	cfg.KeepAliveSlack = opts.SlackTick
 
 	out := &populationShard{sk: sketch.New(opts.Alpha)}
 	e, err := newEnvWithConfig(cfg, dist.ShardSeed(opts.Seed, shardIdx))

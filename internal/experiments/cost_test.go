@@ -269,7 +269,6 @@ func TestCostValidation(t *testing.T) {
 		"iat-inverted":   func(o *CostOptions) { o.MeanIATLo = time.Minute; o.MeanIATHi = time.Second },
 		"bad-workflow":   func(o *CostOptions) { o.Workflow = "nonsense-7" },
 		"sparse-apps":    func(o *CostOptions) { o.Workflow = "chain-2"; o.Apps = 2; o.Shards = 4 },
-		"neg-slacktick":  func(o *CostOptions) { o.SlackTick = -1 },
 		"bad-alpha":      func(o *CostOptions) { o.Alpha = -0.5 },
 		"nan-alpha":      func(o *CostOptions) { o.Alpha = math.NaN() },
 		// Negative options are rejected, not replaced by defaults.

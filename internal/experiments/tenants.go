@@ -42,9 +42,6 @@ type TenantsOptions struct {
 	// KeepAlives is the swept fixed keep-alive axis (default 1m,5m,10m,20m);
 	// each must be positive and distinct.
 	KeepAlives []time.Duration
-	// SlackTick routes keep-alive expiries onto the engine's timer wheel at
-	// this tick (0 = exact heap timers).
-	SlackTick time.Duration
 	// MeanIATLo/Hi bound each tenant's mean inter-arrival time, drawn
 	// log-uniformly (default 1s..60s). A tenant's mean IAT is floored at
 	// its median execution time so offered per-tenant concurrency stays
@@ -86,7 +83,6 @@ func (o TenantsOptions) costOptions() CostOptions {
 		MeanIATHi:      o.MeanIATHi,
 		Alpha:          o.Alpha,
 		MaxConcurrency: o.MaxConcurrency,
-		SlackTick:      o.SlackTick,
 		top:            o.Top,
 	}
 }
@@ -147,13 +143,12 @@ type TenantsPolicyPoint struct {
 
 // TenantsResult is the full sweep outcome, points in keep-alive order.
 type TenantsResult struct {
-	Provider  string               `json:"provider"`
-	Tenants   int                  `json:"tenants"`
-	Duration  time.Duration        `json:"duration_ns"`
-	Shards    int                  `json:"shards"`
-	Seed      int64                `json:"seed"`
-	SlackTick time.Duration        `json:"slack_tick_ns"`
-	Points    []TenantsPolicyPoint `json:"points"`
+	Provider string               `json:"provider"`
+	Tenants  int                  `json:"tenants"`
+	Duration time.Duration        `json:"duration_ns"`
+	Shards   int                  `json:"shards"`
+	Seed     int64                `json:"seed"`
+	Points   []TenantsPolicyPoint `json:"points"`
 }
 
 // RunTenants executes the keep-alive sweep over the synthesized
@@ -166,13 +161,12 @@ func RunTenants(opts TenantsOptions) (*TenantsResult, error) {
 		return nil, fmt.Errorf("tenants: %w", err)
 	}
 	out := &TenantsResult{
-		Provider:  res.Provider,
-		Tenants:   res.Tenants,
-		Duration:  res.Duration,
-		Shards:    res.Shards,
-		Seed:      res.Seed,
-		SlackTick: opts.SlackTick,
-		Points:    make([]TenantsPolicyPoint, len(res.Points)),
+		Provider: res.Provider,
+		Tenants:  res.Tenants,
+		Duration: res.Duration,
+		Shards:   res.Shards,
+		Seed:     res.Seed,
+		Points:   make([]TenantsPolicyPoint, len(res.Points)),
 	}
 	for i, p := range res.Points {
 		out.Points[i] = TenantsPolicyPoint{
@@ -200,8 +194,8 @@ func RunTenants(opts TenantsOptions) (*TenantsResult, error) {
 
 // WriteTenantsReport renders the frontier as a table.
 func WriteTenantsReport(w io.Writer, res *TenantsResult) {
-	fmt.Fprintf(w, "tenants sweep: provider=%s tenants=%d duration=%v shards=%d seed=%d slack=%v\n",
-		res.Provider, res.Tenants, res.Duration, res.Shards, res.Seed, res.SlackTick)
+	fmt.Fprintf(w, "tenants sweep: provider=%s tenants=%d duration=%v shards=%d seed=%d\n",
+		res.Provider, res.Tenants, res.Duration, res.Shards, res.Seed)
 	fmt.Fprintf(w, "%-10s %12s %9s %8s %8s %8s %14s %10s %10s %7s\n",
 		"keepalive", "invocations", "colds", "cold%", "errors", "expired", "inst-seconds", "p50", "p99", "pareto")
 	for _, p := range res.Points {

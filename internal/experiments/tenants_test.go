@@ -84,55 +84,52 @@ func TestTenantsSingleTenantMatchesDirectShard(t *testing.T) {
 // TestTenantsMatchesCostKeepAlive: the tenants sweep is the cost sweep
 // restricted to keepalive-<d> policies, so both report the same counters,
 // instance-seconds, latency summary and virtual time for every keep-alive,
-// with exact and wheel-routed expiries and at any worker count.
+// at any worker count.
 func TestTenantsMatchesCostKeepAlive(t *testing.T) {
 	kas := []time.Duration{time.Minute, 5 * time.Minute, 20 * time.Minute}
-	for _, slack := range []time.Duration{0, 500 * time.Millisecond} {
-		for _, workers := range []int{1, 8} {
-			opts := smallTenantsOpts()
-			opts.Tenants = 120
-			opts.KeepAlives = kas
-			opts.SlackTick = slack
-			opts.Workers = workers
-			tenants, err := RunTenants(opts)
-			if err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 8} {
+		opts := smallTenantsOpts()
+		opts.Tenants = 120
+		opts.KeepAlives = kas
+		opts.Workers = workers
+		tenants, err := RunTenants(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var policies []CostPolicy
+		for _, ka := range kas {
+			policies = append(policies, CostPolicy{Name: "keepalive-" + ka.String(), KeepAlive: ka})
+		}
+		cost, err := RunCost(CostOptions{
+			Provider: opts.Provider, Tenants: opts.Tenants, Duration: opts.Duration,
+			Shards: opts.Shards, Workers: workers, Seed: opts.Seed,
+			Policies: policies,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tp := range tenants.Points {
+			cp := cost.Points[i]
+			if tp.KeepAlive != kas[i] {
+				t.Fatalf("point %d keep-alive %v, want %v", i, tp.KeepAlive, kas[i])
 			}
-			var policies []CostPolicy
-			for _, ka := range kas {
-				policies = append(policies, CostPolicy{Name: "keepalive-" + ka.String(), KeepAlive: ka})
+			if tp.Invocations != cp.Invocations || tp.ColdServed != cp.ColdServed ||
+				tp.WarmServed != cp.WarmServed || tp.Errors != cp.Errors ||
+				tp.Expirations != cp.Expirations || tp.ColdRate != cp.ColdRate {
+				t.Errorf("workers=%d %s: counters differ: tenants %+v, cost %+v",
+					workers, cp.Policy, tp, cp)
 			}
-			cost, err := RunCost(CostOptions{
-				Provider: opts.Provider, Tenants: opts.Tenants, Duration: opts.Duration,
-				Shards: opts.Shards, Workers: workers, Seed: opts.Seed,
-				Policies: policies, SlackTick: slack,
-			})
-			if err != nil {
-				t.Fatal(err)
+			if tp.InstanceSeconds != cp.InstanceSeconds {
+				t.Errorf("workers=%d %s: instance-seconds %v != %v",
+					workers, cp.Policy, tp.InstanceSeconds, cp.InstanceSeconds)
 			}
-			for i, tp := range tenants.Points {
-				cp := cost.Points[i]
-				if tp.KeepAlive != kas[i] {
-					t.Fatalf("point %d keep-alive %v, want %v", i, tp.KeepAlive, kas[i])
-				}
-				if tp.Invocations != cp.Invocations || tp.ColdServed != cp.ColdServed ||
-					tp.WarmServed != cp.WarmServed || tp.Errors != cp.Errors ||
-					tp.Expirations != cp.Expirations || tp.ColdRate != cp.ColdRate {
-					t.Errorf("slack=%v workers=%d %s: counters differ: tenants %+v, cost %+v",
-						slack, workers, cp.Policy, tp, cp)
-				}
-				if tp.InstanceSeconds != cp.InstanceSeconds {
-					t.Errorf("slack=%v workers=%d %s: instance-seconds %v != %v",
-						slack, workers, cp.Policy, tp.InstanceSeconds, cp.InstanceSeconds)
-				}
-				if tp.Latency != cp.Latency {
-					t.Errorf("slack=%v workers=%d %s: latency %+v != %+v",
-						slack, workers, cp.Policy, tp.Latency, cp.Latency)
-				}
-				if tp.VirtualTime != cp.VirtualTime {
-					t.Errorf("slack=%v workers=%d %s: virtual time %v != %v",
-						slack, workers, cp.Policy, tp.VirtualTime, cp.VirtualTime)
-				}
+			if tp.Latency != cp.Latency {
+				t.Errorf("workers=%d %s: latency %+v != %+v",
+					workers, cp.Policy, tp.Latency, cp.Latency)
+			}
+			if tp.VirtualTime != cp.VirtualTime {
+				t.Errorf("workers=%d %s: virtual time %v != %v",
+					workers, cp.Policy, tp.VirtualTime, cp.VirtualTime)
 			}
 		}
 	}
@@ -160,38 +157,6 @@ func TestTenantsWorkerCountInvariance(t *testing.T) {
 	parallel := render(8)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatal("tenants sweep differs between Workers=1 and Workers=8")
-	}
-}
-
-// TestTenantsSlackTickKeepsFrontierShape: replaying on the timer wheel
-// must not change what was served, and may only shift the cold/warm split
-// toward warm. The wheel fires an expiry never early and at most one tick
-// late, so an arrival inside that tick can find the instance still alive
-// and turn warm; it can never turn a warm serve cold.
-func TestTenantsSlackTickKeepsFrontierShape(t *testing.T) {
-	opts := smallTenantsOpts()
-	exact, err := RunTenants(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.SlackTick = 500 * time.Millisecond
-	slacked, err := RunTenants(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range exact.Points {
-		e, s := exact.Points[i], slacked.Points[i]
-		if e.Invocations != s.Invocations || e.Errors != s.Errors {
-			t.Fatalf("keepalive %v: slack changed serves: exact inv=%d errors=%d, slacked inv=%d errors=%d",
-				e.KeepAlive, e.Invocations, e.Errors, s.Invocations, s.Errors)
-		}
-		if s.ColdServed > e.ColdServed {
-			t.Errorf("keepalive %v: slack added cold starts: exact %d, slacked %d",
-				e.KeepAlive, e.ColdServed, s.ColdServed)
-		} else if diff := e.ColdServed - s.ColdServed; diff*100 > e.Invocations {
-			t.Errorf("keepalive %v: slack moved %d of %d invocations from cold to warm, want <= 1%%",
-				e.KeepAlive, diff, e.Invocations)
-		}
 	}
 }
 
