@@ -12,8 +12,8 @@ import (
 // This file is the callback execution form of the invocation pipeline: a
 // warm external request runs as a straight-line chain of engine event
 // callbacks with zero goroutine context switches. Invoke's goroutine-proc
-// form serves every request that is not callback-eligible (chains, faults,
-// retries, workflow-owned spans) and is the reference the cloud tests
+// form serves every request that is not callback-eligible (continuations,
+// faults, retries, workflow-owned spans) and is the reference the cloud tests
 // compare this form against. The two forms are event-for-event equivalent:
 // every p.Sleep(d) in Invoke maps to exactly one CallAfter(d, step) here,
 // every Signal fire/timeout to exactly one Call, and all side effects (RNG
@@ -135,13 +135,13 @@ func (c *Cloud) putWarmCall(wc *warmCall) {
 
 // callbackEligible reports whether a request can take the callback fast
 // path; it alone picks InvokeAsync's execution form. Anything that needs the
-// general machinery — chains, storage payloads, fault injection, crash
-// retries, a caller-owned span — falls back to the proc form. An installed
-// tracer does not: the callback steps record the same spans Invoke does.
+// general machinery — a continuation (the request's Cont or the function's
+// chain), storage payloads, fault injection, crash retries, a caller-owned
+// span — falls back to the proc form. An installed tracer does not: the
+// callback steps record the same spans Invoke does.
 func (c *Cloud) callbackEligible(req *Request, fn *Function) bool {
 	return !req.Internal &&
-		fn.spec.Chain == nil &&
-		req.Cont == nil && req.Span == nil &&
+		req.Cont == nil && fn.chain == nil && req.Span == nil &&
 		req.storageKey == "" && req.wireDelay == 0 &&
 		c.inj == nil &&
 		c.cfg.Faults.CrashProb == 0
@@ -161,7 +161,8 @@ func (c *Cloud) callbackEligible(req *Request, fn *Function) bool {
 //
 // The *Response passed to done is only valid for the duration of the call:
 // the fast path recycles it, and its Timestamps map is nil (intra-function
-// timestamps exist only for chains, which always take the proc form).
+// timestamps exist only where a continuation runs — a request's Cont or a
+// function's chain — and those always take the proc form).
 func (c *Cloud) InvokeAsync(req *Request, done func(*Response, error)) {
 	fn, ok := c.functions[req.Fn]
 	if !ok || !c.callbackEligible(req, fn) {

@@ -284,6 +284,9 @@ func (c *Cloud) Deploy(spec FunctionSpec) error {
 		default:
 			return fmt.Errorf("cloud %s: unsupported transfer %q", c.cfg.Name, spec.Chain.Transfer)
 		}
+		if spec.Chain.PayloadBytes < 0 || spec.Chain.Fanout < 0 {
+			return fmt.Errorf("cloud %s: function %q: negative chain payload or fan-out", c.cfg.Name, spec.Name)
+		}
 	}
 	if spec.KeepAlive != nil && spec.KeepAlive.Fixed <= 0 && spec.KeepAlive.Dist == nil {
 		return fmt.Errorf("cloud %s: function %q: keep-alive override unset", c.cfg.Name, spec.Name)
@@ -316,6 +319,9 @@ func (c *Cloud) Deploy(spec FunctionSpec) error {
 	}
 	fn.maxInstances = spec.MaxInstances
 	fn.maxConcurrent = spec.MaxConcurrent
+	if spec.Chain != nil {
+		fn.chain = &chainCont{ChainSpec: *spec.Chain}
+	}
 	if c.cfg.Autoscaler != nil {
 		if fn.as == nil {
 			fn.as = econ.NewAutoscaler(*c.cfg.Autoscaler)
@@ -368,6 +374,7 @@ func (c *Cloud) putFunction(fn *Function) {
 	fn.keepAlive = KeepAlivePolicy{}
 	fn.maxInstances = 0
 	fn.maxConcurrent = 0
+	fn.chain = nil
 	// fn.as and fn.tickFn survive recycling (the autoscaler's ring is
 	// sized by the cloud-wide config); Deploy resets the window state.
 	fn.tickTimer = des.Timer{}
@@ -831,55 +838,14 @@ func (c *Cloud) serve(p *des.Proc, inst *Instance, req *Request, fn *Function, b
 			c.cfg.Name, inst.id, fn.spec.Name, ErrInstanceCrash)
 	}
 
-	// Continuation seam: a request-supplied continuation runs exactly where
-	// the static chain block would, inside the instance's busy window (see
-	// downstream.go). It takes precedence over the function's Chain.
-	if req.Cont != nil {
-		env := &DownstreamEnv{c: c, p: p, req: req, fn: fn, bd: bd, tr: tr, resp: resp}
-		if err := req.Cont.Run(p, env); err != nil {
-			return resp, err
-		}
-		return resp, nil
+	// Continuation seam: the request's continuation, else the function's
+	// chain, runs inside the instance's busy window (see downstream.go).
+	cont := req.Cont
+	if cont == nil {
+		cont = fn.chain
 	}
-	if ch := fn.spec.Chain; ch != nil {
-		payload := req.ChainPayloadBytes
-		if payload == 0 {
-			payload = ch.PayloadBytes
-		}
-		// Producer timestamp before saving/sending the payload (§IV).
-		resp.Timestamps[fn.spec.Name+".send"] = p.Now()
-		next := &Request{
-			Fn:                ch.Next,
-			Internal:          true,
-			depth:             req.depth + 1,
-			ChainPayloadBytes: payload,
-		}
-		switch ch.Transfer {
-		case TransferInline:
-			if c.cfg.InlineLimitBytes > 0 && payload > c.cfg.InlineLimitBytes {
-				return resp, fmt.Errorf("cloud %s: inline payload %dB exceeds provider limit %dB",
-					c.cfg.Name, payload, c.cfg.InlineLimitBytes)
-			}
-			next.wireDelay = c.inlineWireTime(payload)
-		case TransferStorage:
-			c.payloadSeq++
-			key := fmt.Sprintf("payload/%s/%d", fn.spec.Name, c.payloadSeq)
-			bd.PayloadStore = c.payloadStore.Put(p, key, payload)
-			tr.Mark(trace.StagePayloadStore, bd.PayloadStore, p.Now())
-			next.storageKey = key
-		}
-		downstreamStart := p.Now()
-		nresps, err := c.invokeDownstream(p, next, ch.Fanout)
-		bd.Downstream = p.Now() - downstreamStart
-		tr.Mark(trace.StageDownstream, bd.Downstream, p.Now())
-		for _, nresp := range nresps {
-			for k, v := range nresp.Timestamps {
-				resp.Timestamps[k] = v
-			}
-		}
-		if err != nil {
-			return resp, fmt.Errorf("chain %s->%s: %w", fn.spec.Name, ch.Next, err)
-		}
+	if cont != nil {
+		return resp, cont.Run(p, &DownstreamEnv{c: c, p: p, req: req, fn: fn, bd: bd, tr: tr, resp: resp})
 	}
 	return resp, nil
 }
@@ -895,41 +861,6 @@ func (c *Cloud) execTime(req *Request, fn *Function) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(exec) * c.cfg.throttleFactor(fn.spec.MemoryMB))
-}
-
-// invokeDownstream performs the chain's downstream call(s): one sequential
-// invocation, or a scatter-gather of fanout parallel copies joined before
-// the producer returns.
-func (c *Cloud) invokeDownstream(p *des.Proc, next *Request, fanout int) ([]*Response, error) {
-	if fanout <= 1 {
-		nresp, err := c.Invoke(p, next)
-		if nresp == nil {
-			return nil, err
-		}
-		return []*Response{nresp}, err
-	}
-	done := des.NewSignal(c.eng)
-	remaining := fanout
-	var firstErr error
-	responses := make([]*Response, 0, fanout)
-	for i := 0; i < fanout; i++ {
-		reqCopy := *next
-		c.eng.Spawn("fanout/"+next.Fn, func(sp *des.Proc) {
-			r, err := c.Invoke(sp, &reqCopy)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if r != nil {
-				responses = append(responses, r)
-			}
-			remaining--
-			if remaining == 0 {
-				done.Fire()
-			}
-		})
-	}
-	p.Wait(done)
-	return responses, firstErr
 }
 
 // inlineWireTime converts an inline payload size into transmission delay at

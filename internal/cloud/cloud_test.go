@@ -537,6 +537,69 @@ func TestChainPayloadOverride(t *testing.T) {
 	}
 }
 
+// contFunc adapts a function to the Downstream interface.
+type contFunc func(p *des.Proc, env *DownstreamEnv) error
+
+func (f contFunc) Run(p *des.Proc, env *DownstreamEnv) error { return f(p, env) }
+
+// TestChainNegativePayloads: a negative chain payload or fan-out never
+// reaches the payload store. Deploy rejects it in the spec, a request's
+// override applies only when positive, and Prepare rejects it in a call.
+func TestChainNegativePayloads(t *testing.T) {
+	for _, ch := range []ChainSpec{
+		{PayloadBytes: -5},
+		{Fanout: -3},
+		{PayloadBytes: -5, Fanout: -3},
+	} {
+		_, c := newTestCloud(t, testConfig())
+		ch.Next, ch.Transfer = "consumer", TransferStorage
+		if err := c.Deploy(FunctionSpec{Name: "producer", Runtime: RuntimeGo, Method: DeployZIP, Chain: &ch}); err == nil {
+			t.Errorf("Deploy accepted %+v", ch)
+		}
+	}
+
+	for _, tc := range []struct {
+		override, want int64
+	}{
+		{-1, 1024},
+		{0, 1024},
+		{2048, 2048},
+	} {
+		eng, c := newTestCloud(t, testConfig())
+		deploy(t, c, FunctionSpec{Name: "consumer", Runtime: RuntimeGo})
+		deploy(t, c, FunctionSpec{Name: "producer", Runtime: RuntimeGo,
+			Chain: &ChainSpec{Next: "consumer", Transfer: TransferStorage, PayloadBytes: 1024}})
+		r := invokeAt(eng, c, 0, &Request{Fn: "producer", ChainPayloadBytes: tc.override})
+		eng.Run(0)
+		if r.err != nil {
+			t.Fatalf("override %d: %v", tc.override, r.err)
+		}
+		m := c.PayloadStore().Metrics()
+		if m.BytesPut != uint64(tc.want) || m.BytesRead != uint64(tc.want) {
+			t.Errorf("override %d: put %d, read %d bytes; want %d", tc.override, m.BytesPut, m.BytesRead, tc.want)
+		}
+	}
+
+	for _, tr := range []TransferKind{TransferInline, TransferStorage} {
+		eng, c := newTestCloud(t, testConfig())
+		deploy(t, c, FunctionSpec{Name: "consumer", Runtime: RuntimeGo})
+		deploy(t, c, FunctionSpec{Name: "producer", Runtime: RuntimeGo})
+		var prepErr error
+		cont := contFunc(func(_ *des.Proc, env *DownstreamEnv) error {
+			_, prepErr = env.Prepare(DownstreamCall{Fn: "consumer", Transfer: tr, PayloadBytes: -1})
+			return prepErr
+		})
+		r := invokeAt(eng, c, 0, &Request{Fn: "producer", Cont: cont})
+		eng.Run(0)
+		if prepErr == nil || !strings.Contains(prepErr.Error(), "negative payload") || r.err != prepErr {
+			t.Errorf("%s: Prepare error %v, invocation error %v", tr, prepErr, r.err)
+		}
+		if m := c.PayloadStore().Metrics(); m.Puts != 0 || m.BytesPut != 0 {
+			t.Errorf("%s: payload store touched: %+v", tr, m)
+		}
+	}
+}
+
 func TestThreeFunctionChain(t *testing.T) {
 	eng, c := newTestCloud(t, testConfig())
 	deploy(t, c, FunctionSpec{Name: "c3", Runtime: RuntimeGo})

@@ -2,31 +2,58 @@ package cloud
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"github.com/stellar-repro/stellar/internal/des"
 	"github.com/stellar-repro/stellar/internal/trace"
 )
 
-// This file is the continuation seam that lets a caller-supplied policy —
-// the workflow executor's DAG edges — run inside a serving instance exactly
-// where a static FunctionSpec.Chain's downstream block runs. The seam
-// exposes the chain block's primitive operations (producer send timestamp,
-// per-edge transfer preparation, scatter-gather of downstream invocations)
-// with the same operation order, RNG draws, and breakdown accounting, which
-// is what makes a chain-shaped workflow byte-identical to the hand-rolled
-// chain path (TestWorkflowChainMatchesHandRolledChain).
+// This file is the continuation seam: the one place where a serving
+// instance invokes other functions. After the handler body, serve runs the
+// request's Cont (the workflow executor's DAG edges) or else the function's
+// static chain, which Deploy turns into a chainCont. Both compose through
+// the same primitives — producer send timestamp, per-edge transfer
+// preparation, scatter-gather of downstream invocations — so a chain-shaped
+// workflow is byte-identical to a static chain
+// (TestWorkflowChainMatchesHandRolledChain).
 
 // Downstream is a continuation executed inside the serving instance after
-// the handler body (Request.Cont). Its virtual time is part of the
-// instance's busy window: billing, release, and the parent's Downstream
-// breakdown all see it, as they see a static chain's downstream call.
+// the handler body (Request.Cont, or a FunctionSpec.Chain). Its virtual
+// time is part of the instance's busy window: billing, release, and the
+// parent's Downstream breakdown all see it.
 type Downstream interface {
 	// Run performs the downstream work through env. Returning an error fails
-	// the invocation as a chain error would; continuations that manage their
-	// own failure semantics (the workflow executor classifies branch
-	// failures at join barriers) return nil.
+	// the invocation; continuations that manage their own failure semantics
+	// (the workflow executor classifies branch failures at join barriers)
+	// return nil.
 	Run(p *des.Proc, env *DownstreamEnv) error
+}
+
+// chainCont runs a FunctionSpec.Chain: one send-side transfer of the
+// payload, then Fanout copies of the downstream request gathered before the
+// producer returns (a plain sequential hop when Fanout is 0 or 1).
+type chainCont struct{ ChainSpec }
+
+func (ch *chainCont) Run(_ *des.Proc, env *DownstreamEnv) error {
+	payload := ch.PayloadBytes
+	if n := env.req.ChainPayloadBytes; n > 0 {
+		payload = n
+	}
+	env.MarkSend()
+	next, err := env.Prepare(DownstreamCall{Fn: ch.Next, Transfer: ch.Transfer, PayloadBytes: payload})
+	if err == nil {
+		reqs := []*Request{next}
+		for range ch.Fanout - 1 {
+			r := *next
+			reqs = append(reqs, &r)
+		}
+		err = env.Gather(reqs, nil)
+	}
+	if err != nil {
+		return fmt.Errorf("chain %s->%s: %w", env.Fn(), ch.Next, err)
+	}
+	return nil
 }
 
 // DownstreamCall describes one downstream invocation to prepare: the target
@@ -73,7 +100,7 @@ func (e *DownstreamEnv) Now() des.Time { return e.p.Now() }
 func (e *DownstreamEnv) Fn() string { return e.fn.spec.Name }
 
 // MarkSend records the producer timestamp ("<fn>.send") before the payload
-// is saved or sent, as a static chain does (§IV).
+// is saved or sent (§IV).
 func (e *DownstreamEnv) MarkSend() {
 	e.resp.Timestamps[e.fn.spec.Name+".send"] = e.p.Now()
 }
@@ -81,9 +108,11 @@ func (e *DownstreamEnv) MarkSend() {
 // Prepare builds one downstream request, performing the edge's send-side
 // transfer work in place: inline payloads draw their wire time (and respect
 // the provider's inline size limit), storage payloads are written to the
-// payload store on the producer's clock. The operation order matches the
-// static chain block exactly.
+// payload store on the producer's clock. A negative payload is rejected.
 func (e *DownstreamEnv) Prepare(call DownstreamCall) (*Request, error) {
+	if call.PayloadBytes < 0 {
+		return nil, fmt.Errorf("cloud %s: negative payload %dB for %s", e.c.cfg.Name, call.PayloadBytes, call.Fn)
+	}
 	next := &Request{
 		Fn:                call.Fn,
 		Internal:          true,
@@ -132,37 +161,39 @@ func (e *DownstreamEnv) storePayload(payloadBytes int64) string {
 // completed, accounting the elapsed window as the producer's Downstream
 // breakdown — a single request runs inline on the producer's proc (a
 // sequential chain hop), several scatter into parallel procs joined before
-// the producer returns, exactly as a static chain fan-out does. each, when
-// non-nil, observes every branch at its completion instant. Downstream
-// response timestamps merge into the producer's response; the first branch
-// error (in completion order) is returned, but the producer may ignore it.
+// the producer returns. each, when non-nil, observes every branch at its
+// completion instant. Downstream response timestamps merge into the
+// producer's response in completion order, so where branches share a key
+// (a fan-out chain's "<next>.recv") the last branch to finish supplies it.
+// The first branch error (in completion order) is returned, but the
+// producer may ignore it.
 func (e *DownstreamEnv) Gather(reqs []*Request, each GatherFunc) error {
 	if len(reqs) == 0 {
 		return nil
 	}
 	start := e.p.Now()
-	responses := make([]*Response, len(reqs))
 	var firstErr error
+	complete := func(i int, resp *Response, err error, at des.Time) {
+		if resp != nil {
+			maps.Copy(e.resp.Timestamps, resp.Timestamps)
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if each != nil {
+			each(i, resp, err, at)
+		}
+	}
 	if len(reqs) == 1 {
 		resp, err := e.c.Invoke(e.p, reqs[0])
-		responses[0], firstErr = resp, err
-		if each != nil {
-			each(0, resp, err, e.p.Now())
-		}
+		complete(0, resp, err, e.p.Now())
 	} else {
 		done := des.NewSignal(e.c.eng)
 		remaining := len(reqs)
 		for i, r := range reqs {
-			i, r := i, r
 			e.c.eng.Spawn("fanout/"+r.Fn, func(sp *des.Proc) {
 				resp, err := e.c.Invoke(sp, r)
-				responses[i] = resp
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if each != nil {
-					each(i, resp, err, sp.Now())
-				}
+				complete(i, resp, err, sp.Now())
 				remaining--
 				if remaining == 0 {
 					done.Fire()
@@ -174,14 +205,6 @@ func (e *DownstreamEnv) Gather(reqs []*Request, each GatherFunc) error {
 	window := e.p.Now() - start
 	e.bd.Downstream += window
 	e.tr.Mark(trace.StageDownstream, window, e.p.Now())
-	for _, nresp := range responses {
-		if nresp == nil {
-			continue
-		}
-		for k, v := range nresp.Timestamps {
-			e.resp.Timestamps[k] = v
-		}
-	}
 	return firstErr
 }
 

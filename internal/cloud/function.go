@@ -173,6 +173,9 @@ type Function struct {
 	instSecAccum float64
 	instSecLast  des.Time
 
+	// chain is the continuation built from spec.Chain (nil without one).
+	chain Downstream
+
 	// freeNext links recycled records on the Cloud's function free list.
 	freeNext *Function
 }

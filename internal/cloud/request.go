@@ -21,10 +21,9 @@ type Request struct {
 	// positive.
 	ChainPayloadBytes int64
 	// Cont, when set, runs inside the serving instance after the handler
-	// body, exactly where a FunctionSpec.Chain's downstream call would — the
-	// continuation seam the workflow executor hangs DAG edges on (see
-	// downstream.go). A request carries either a Cont or relies on the
-	// function's static Chain, never both.
+	// body — the continuation seam the workflow executor hangs DAG edges on
+	// (see downstream.go). It overrides the function's static Chain, which
+	// otherwise runs at the same seam.
 	Cont Downstream
 	// Span, when set, records this invocation's pipeline spans into a trace
 	// owned by the caller (the workflow executor's per-node spans); Invoke
