@@ -367,9 +367,7 @@ func (wc *warmCall) serveOn(inst *Instance) {
 func (wc *warmCall) execDone() {
 	c, fn := wc.c, wc.fn
 	now := c.eng.Now()
-	gbs := (now - wc.busyStart).Seconds() * c.cfg.memoryGB(fn.spec.MemoryMB)
-	wc.resp.BilledGBSeconds = gbs
-	c.metrics.BilledGBSeconds += gbs
+	wc.resp.BilledGBSeconds = (now - wc.busyStart).Seconds() * c.cfg.memoryGB(fn.spec.MemoryMB)
 	// Capture the instance id before release: instance records are pooled,
 	// and a short keep-alive can expire and recycle this one while the
 	// response path is still in flight.

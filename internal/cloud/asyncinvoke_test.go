@@ -22,6 +22,7 @@ type formTrace struct {
 	metrics Metrics
 	virtual des.Time
 	instSec float64
+	billed  float64
 	spans   []trace.RequestRecord
 	dropped uint64
 }
@@ -86,9 +87,12 @@ func runForm(t *testing.T, cfg Config, callback bool, load formLoad) formTrace {
 	}
 	out := formTrace{}
 	req := &Request{Fn: "f"}
-	done := func(_ *Response, err error) {
+	done := func(resp *Response, err error) {
 		if err != nil {
 			out.errs = append(out.errs, err.Error())
+		}
+		if resp != nil {
+			out.billed += resp.BilledGBSeconds
 		}
 	}
 
@@ -131,7 +135,8 @@ func runForm(t *testing.T, cfg Config, callback bool, load formLoad) formTrace {
 	out.lats = rec.lats
 	out.metrics = c.Metrics()
 	out.virtual = eng.Now()
-	out.instSec = c.InstanceSeconds()
+	tm, _ := c.FunctionMetrics("f")
+	out.instSec = tm.InstanceSeconds
 	out.spans = tr.Drain()
 	out.dropped = tr.Dropped()
 	return out
@@ -154,6 +159,9 @@ func diffForms(t *testing.T, cfg Config, load formLoad) formTrace {
 	}
 	if proc.instSec != cb.instSec {
 		t.Errorf("instance-seconds diverged: proc=%v callback=%v", proc.instSec, cb.instSec)
+	}
+	if proc.billed != cb.billed {
+		t.Errorf("billed GB-s diverged: proc=%v callback=%v", proc.billed, cb.billed)
 	}
 	if proc.dropped != cb.dropped {
 		t.Errorf("dropped traces diverged: proc=%d callback=%d", proc.dropped, cb.dropped)

@@ -56,10 +56,6 @@ type Metrics struct {
 	Drops         uint64
 	Throttles     uint64
 	StorageFaults uint64
-	// BilledGBSeconds accumulates the pay-per-use bill across all served
-	// invocations (§II-A: providers charge for instance-busy time times
-	// configured memory).
-	BilledGBSeconds float64
 	// Control-plane counters (Config.Autoscaler): instances parked in and
 	// revived from the suspended state, and admissions rejected at a
 	// function's MaxConcurrent cap.
@@ -81,8 +77,9 @@ type TenantMetrics struct {
 	// Errors counts failed external invocations (queue timeouts, drops,
 	// crash-retry exhaustion).
 	Errors uint64
-	// InstanceSeconds integrates this function's live instances over
-	// virtual time — the per-tenant memory-cost proxy.
+	// InstanceSeconds is the time this function's instances were live
+	// (busy or idle, not suspended), derived from its usage meter as busy
+	// plus idle GB-ms over memory — the per-tenant memory-cost proxy.
 	InstanceSeconds float64
 }
 
@@ -157,13 +154,6 @@ type Cloud struct {
 	tr *trace.Tracer
 	// reqSeq numbers external requests for trace identity.
 	reqSeq uint64
-
-	// Instance-seconds accounting: the integral of live instances over
-	// virtual time, the provider-side resource-cost counterpart of the
-	// keep-alive policy trade-off (Shahrad et al., cited in §VIII).
-	liveInstances   int
-	instSecAccum    float64
-	instSecLastTick des.Time
 
 	// meter accumulates fleet-wide usage (busy/idle/suspended GB-ms plus
 	// request counts); per-tenant meters live on each Function and receive
@@ -240,15 +230,23 @@ func (c *Cloud) SetFunctionRecorder(name string, r LatencyRecorder) error {
 }
 
 // FunctionMetrics returns a snapshot of one function's tenant counters,
-// with the instance-seconds integral brought up to the present instant.
+// with instance-seconds brought up to the present instant. It is a pure
+// read: the meter's closed windows plus the live instances' open ones,
+// summed in integer nanoseconds so the result does not depend on map
+// order, and no window is folded.
 func (c *Cloud) FunctionMetrics(name string) (TenantMetrics, bool) {
 	fn, ok := c.functions[name]
 	if !ok {
 		return TenantMetrics{}, false
 	}
-	fn.noteInstSec()
+	u := fn.meter.Usage()
+	now := c.eng.Now()
+	var open time.Duration
+	for _, inst := range fn.live {
+		open += now - inst.stateSince
+	}
 	tm := fn.tm
-	tm.InstanceSeconds = fn.instSecAccum
+	tm.InstanceSeconds = (u.BusyGBms+u.IdleGBms)/1e3/c.cfg.memoryGB(fn.spec.MemoryMB) + open.Seconds()
 	return tm, true
 }
 
@@ -386,7 +384,6 @@ func (c *Cloud) putFunction(fn *Function) {
 	fn.susp = fn.susp[:0]
 	fn.rec = nil
 	fn.tm = TenantMetrics{}
-	fn.instSecAccum, fn.instSecLast = 0, 0
 	fn.freeNext = c.fnFree
 	c.fnFree = fn
 }
@@ -400,7 +397,6 @@ func (c *Cloud) Remove(name string) error {
 	if !ok {
 		return fmt.Errorf("cloud %s: function %q not deployed", c.cfg.Name, name)
 	}
-	fn.noteInstSec()
 	busy := false
 	for _, inst := range fn.live {
 		inst.keepAlive.Cancel()
@@ -408,7 +404,6 @@ func (c *Cloud) Remove(name string) error {
 		fn.noteUsage(inst)
 		inst.state = stateGone
 		inst.worker.Instances--
-		c.noteInstanceDelta(-1)
 		c.releaseClusterSlot()
 		if wasIdle {
 			c.putInstance(inst)
@@ -477,22 +472,6 @@ func (c *Cloud) releaseClusterSlot() {
 	if c.capRes != nil {
 		c.capRes.Release()
 	}
-}
-
-// noteInstanceDelta updates the live-instance integral when instances are
-// created or reaped.
-func (c *Cloud) noteInstanceDelta(delta int) {
-	now := c.eng.Now()
-	c.instSecAccum += float64(c.liveInstances) * (now - c.instSecLastTick).Seconds()
-	c.instSecLastTick = now
-	c.liveInstances += delta
-}
-
-// InstanceSeconds reports the cumulative instance-seconds provisioned so
-// far (live instances integrated over virtual time).
-func (c *Cloud) InstanceSeconds() float64 {
-	c.noteInstanceDelta(0)
-	return c.instSecAccum
 }
 
 func (c *Cloud) pickWorker() *Worker {
@@ -784,9 +763,7 @@ func (c *Cloud) serve(p *des.Proc, inst *Instance, req *Request, fn *Function, b
 	}
 	busyStart := p.Now()
 	defer func() {
-		gbs := (p.Now() - busyStart).Seconds() * c.cfg.memoryGB(fn.spec.MemoryMB)
-		resp.BilledGBSeconds = gbs
-		c.metrics.BilledGBSeconds += gbs
+		resp.BilledGBSeconds = (p.Now() - busyStart).Seconds() * c.cfg.memoryGB(fn.spec.MemoryMB)
 	}()
 
 	bd.Overhead = c.cfg.WarmOverhead.Sample(c.rngInstance)

@@ -199,11 +199,9 @@ func (fn *Function) suspend(inst *Instance) {
 	inst.keepAlive = des.Timer{}
 	fn.noteUsage(inst)
 	inst.state = stateSuspended
-	fn.noteInstSec()
 	delete(fn.live, inst.id)
 	inst.worker.Instances--
 	inst.worker = nil
-	c.noteInstanceDelta(-1)
 	c.releaseClusterSlot()
 	c.metrics.Suspends++
 	fn.susp = append(fn.susp, inst)
@@ -228,12 +226,10 @@ func (fn *Function) resumeOne() {
 		w := c.pickWorker()
 		w.Instances++
 		fn.pending--
-		fn.noteInstSec()
 		fn.noteUsage(inst) // close the suspended window
 		inst.state = stateBusy
 		inst.worker = w
 		fn.live[inst.id] = inst
-		c.noteInstanceDelta(1)
 		if len(fn.buffer) > 0 {
 			fn.grant(inst, false)
 		} else {

@@ -284,13 +284,14 @@ func TestConcurrencyLimit(t *testing.T) {
 	}
 }
 
-// econFingerprint summarizes a run for byte-identity comparisons.
-func econFingerprint(c *Cloud, lats []time.Duration) string {
+// econFingerprint summarizes a run for byte-identity comparisons; billed is
+// the sum of the run's per-response bills, in completion order.
+func econFingerprint(c *Cloud, lats []time.Duration, billed float64) string {
 	m := c.Metrics()
 	u := c.Usage()
 	s := fmt.Sprintf("inv=%d cold=%d warm=%d spawns=%d susp=%d res=%d rej=%d gbs=%.9f busy=%.6f idle=%.6f sus=%.6f req=%d",
 		m.Invocations, m.ColdServed, m.WarmServed, m.Spawns, m.Suspends, m.Resumes,
-		m.ConcurrencyRejects, m.BilledGBSeconds, u.BusyGBms, u.IdleGBms, u.SuspendedGBms, u.Requests)
+		m.ConcurrencyRejects, billed, u.BusyGBms, u.IdleGBms, u.SuspendedGBms, u.Requests)
 	for _, l := range lats {
 		s += fmt.Sprintf(" %d", l)
 	}
@@ -315,15 +316,17 @@ func TestEconFormsEquivalent(t *testing.T) {
 			t.Fatal(err)
 		}
 		var lats []time.Duration
+		var billed float64
 		for burst := 0; burst < 3; burst++ {
 			base := time.Duration(burst) * 8 * time.Second
 			for i := 0; i < 10; i++ {
 				at := base + time.Duration(i)*5*time.Millisecond
 				eng.At(at, func() {
 					start := eng.Now()
-					invoke(c, &Request{Fn: "f"}, func(_ *Response, err error) {
+					invoke(c, &Request{Fn: "f"}, func(resp *Response, err error) {
 						if err == nil {
 							lats = append(lats, eng.Now()-start)
+							billed += resp.BilledGBSeconds
 						} else {
 							lats = append(lats, -1)
 						}
@@ -332,7 +335,7 @@ func TestEconFormsEquivalent(t *testing.T) {
 			}
 		}
 		eng.Run(0)
-		return econFingerprint(c, lats)
+		return econFingerprint(c, lats, billed)
 	}
 	proc, callback := run(invokeProc), run((*Cloud).InvokeAsync)
 	if proc != callback {
@@ -367,19 +370,21 @@ func TestBillingPassiveByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var lats []time.Duration
+		var billed float64
 		for i := 0; i < 30; i++ {
 			at := time.Duration(i) * 120 * time.Millisecond
 			eng.At(at, func() {
 				start := eng.Now()
-				c.InvokeAsync(&Request{Fn: "f"}, func(_ *Response, err error) {
+				c.InvokeAsync(&Request{Fn: "f"}, func(resp *Response, err error) {
 					if err == nil {
 						lats = append(lats, eng.Now()-start)
+						billed += resp.BilledGBSeconds
 					}
 				})
 			})
 		}
 		eng.Run(0)
-		return econFingerprint(c, lats)
+		return econFingerprint(c, lats, billed)
 	}
 	if off, on := run(false), run(true); off != on {
 		t.Fatalf("billing config perturbed the schedule:\n off: %s\n on:  %s", off, on)

@@ -169,23 +169,12 @@ type Function struct {
 	rec LatencyRecorder
 	// tm aggregates this tenant's counters.
 	tm TenantMetrics
-	// Per-function live-instance integral over virtual time.
-	instSecAccum float64
-	instSecLast  des.Time
 
 	// chain is the continuation built from spec.Chain (nil without one).
 	chain Downstream
 
 	// freeNext links recycled records on the Cloud's function free list.
 	freeNext *Function
-}
-
-// noteInstSec folds the elapsed live-instance-seconds into the tenant's
-// integral. Must run before any mutation of fn.live.
-func (fn *Function) noteInstSec() {
-	now := fn.c.eng.Now()
-	fn.instSecAccum += float64(len(fn.live)) * (now - fn.instSecLast).Seconds()
-	fn.instSecLast = now
 }
 
 // atCapacity reports whether the tenant's instance cap is exhausted.
@@ -329,10 +318,8 @@ func (fn *Function) destroy(inst *Instance) {
 	inst.keepAlive = des.Timer{}
 	fn.noteUsage(inst)
 	inst.state = stateGone
-	fn.noteInstSec()
 	delete(fn.live, inst.id)
 	inst.worker.Instances--
-	fn.c.noteInstanceDelta(-1)
 	fn.c.releaseClusterSlot()
 	if wasIdle {
 		// Busy records still have in-flight references (the serving proc /
@@ -355,10 +342,8 @@ func (fn *Function) expire(inst *Instance) {
 			break
 		}
 	}
-	fn.noteInstSec()
 	delete(fn.live, inst.id)
 	inst.worker.Instances--
-	fn.c.noteInstanceDelta(-1)
 	fn.c.releaseClusterSlot()
 	fn.c.metrics.Expirations++
 	fn.c.putInstance(inst)
@@ -541,11 +526,9 @@ func (fn *Function) spawnOne() {
 		}
 
 		fn.pending--
-		fn.noteInstSec()
 		inst := c.getInstance(fn, w, p.Now(), cb)
 		fn.live[inst.id] = inst
 		w.Spawned++
-		c.noteInstanceDelta(1)
 		// A fresh instance serves the oldest buffered request; if every
 		// buffered request was already granted (or none remain), it parks.
 		if len(fn.buffer) > 0 {

@@ -17,7 +17,7 @@ import (
 //   - every response's breakdown sums exactly to its observed latency;
 //   - cold + warm served equals total invocations (incl. internal);
 //   - spawned instances never exceed invocations;
-//   - billed GB-seconds and instance-seconds are non-negative and finite;
+//   - billed GB-seconds and the metered GB-ms are non-negative;
 //   - queue waits are non-negative.
 func TestQuickInvocationInvariants(t *testing.T) {
 	policies := []PolicyConfig{
@@ -90,7 +90,7 @@ func TestQuickInvocationInvariants(t *testing.T) {
 			// when pre-spawned instances park unused).
 			return false
 		}
-		if c.InstanceSeconds() < 0 {
+		if u := c.Usage(); u.BusyGBms < 0 || u.IdleGBms < 0 || u.SuspendedGBms < 0 {
 			return false
 		}
 		return true

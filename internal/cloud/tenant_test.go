@@ -1,10 +1,12 @@
 package cloud
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"github.com/stellar-repro/stellar/internal/des"
+	"github.com/stellar-repro/stellar/internal/econ"
 	"github.com/stellar-repro/stellar/internal/stats"
 )
 
@@ -145,6 +147,7 @@ func TestFunctionRecorderIsolation(t *testing.T) {
 func TestFunctionMetricsConservation(t *testing.T) {
 	cfg := testConfig()
 	cfg.KeepAlive = KeepAlivePolicy{Fixed: 10 * time.Second}
+	const exec = 100 * time.Millisecond
 	eng, c := newTestCloud(t, cfg)
 	names := []string{"t0", "t1", "t2"}
 	for _, name := range names {
@@ -153,7 +156,7 @@ func TestFunctionMetricsConservation(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		name := names[i%len(names)]
 		eng.Spawn("req", func(p *des.Proc) {
-			if _, err := c.Invoke(p, &Request{Fn: name, ExecTime: 100 * time.Millisecond}); err != nil {
+			if _, err := c.Invoke(p, &Request{Fn: name, ExecTime: exec}); err != nil {
 				t.Error(err)
 			}
 		})
@@ -178,13 +181,18 @@ func TestFunctionMetricsConservation(t *testing.T) {
 	if cold != m.ColdServed || warm != m.WarmServed {
 		t.Errorf("tenant serves %d/%d != cloud %d/%d", cold, warm, m.ColdServed, m.WarmServed)
 	}
-	// Every instance has expired, so each tenant's integral is closed. All
+	// Every instance has expired, so each tenant's figure is closed. All
 	// nine requests forced cold starts (no-queue, concurrent arrival), so
-	// nine instances each lived busy-window + 10s keep-alive. The exact
-	// span depends on pipeline overlap; just require the integral to cover
-	// at least 9 x 10s of keep-alive and to be fully closed.
-	if instSec < 90 {
-		t.Errorf("instance-seconds %.2f, want >= 90 (9 instances x 10s keep-alive)", instSec)
+	// each of the nine instances lived from its spawn, when it was handed
+	// its request at once, through the warm overhead and the execution to
+	// its release, and then the 10s keep-alive. testConfig's delays are
+	// constants, so that lifetime is exact.
+	pc := c.Config()
+	busy := pc.QueueHandoffDelay.Sample(nil) + pc.WarmOverhead.Sample(nil) + exec
+	want := 9 * (busy + cfg.KeepAlive.Fixed).Seconds()
+	if math.Abs(instSec-want) > 1e-9 {
+		t.Errorf("instance-seconds %.12f, want %.12f (9 instances x (%v busy + %v keep-alive))",
+			instSec, want, busy, cfg.KeepAlive.Fixed)
 	}
 	if len(c.functions["t0"].live) != 0 {
 		t.Error("instances still live after drain")
@@ -252,5 +260,59 @@ func TestFunctionPoolingOnRemove(t *testing.T) {
 	}
 	if tm.Invocations != 0 || tm.InstanceSeconds != 0 {
 		t.Fatalf("recycled record leaked state: %+v", tm)
+	}
+}
+
+// TestFunctionMetricsReadIsPure: reading a function's metrics mid-run is an
+// observation, not a state change. With many instances open, busy and idle,
+// a read at any instant must leave the run's final FunctionMetrics and
+// FunctionUsage bit-identical to those of a run nobody read.
+func TestFunctionMetricsReadIsPure(t *testing.T) {
+	type final struct {
+		tm TenantMetrics
+		u  econ.Usage
+	}
+	run := func(readAt time.Duration) final {
+		cfg := testConfig()
+		cfg.KeepAlive = KeepAlivePolicy{Fixed: 7 * time.Second}
+		eng, c := newTestCloud(t, cfg)
+		deploy(t, c, FunctionSpec{Name: "f", MemoryMB: 1769})
+		// Staggered arrivals with uneven execution times keep a mix of
+		// busy and idle instances open through the read window. Execution
+		// times and read instants carry odd nanoseconds, so a window split
+		// at the read would round differently from the whole window.
+		for i := 0; i < 40; i++ {
+			at := time.Duration(i) * 93 * time.Millisecond
+			exec := 600*time.Millisecond + time.Duration(i%7)*131*time.Millisecond + time.Duration(i)*7919
+			eng.Spawn("req", func(p *des.Proc) {
+				p.Sleep(at)
+				if _, err := c.Invoke(p, &Request{Fn: "f", ExecTime: exec}); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		if readAt > 0 {
+			eng.At(readAt, func() {
+				live, idle := c.LiveInstances("f"), c.IdleInstances("f")
+				if live < 8 || idle == 0 || idle == live {
+					t.Errorf("read at %v: %d live, %d idle; want >= 8 live, busy and idle", readAt, live, idle)
+				}
+				if tm, _ := c.FunctionMetrics("f"); tm.InstanceSeconds <= 0 {
+					t.Errorf("read at %v: instance-seconds %v", readAt, tm.InstanceSeconds)
+				}
+			})
+		}
+		eng.Run(0)
+		var out final
+		out.tm, _ = c.FunctionMetrics("f")
+		out.u, _ = c.FunctionUsage("f")
+		return out
+	}
+	want := run(0)
+	for k := 0; k < 50; k++ {
+		readAt := 2200*time.Millisecond + time.Duration(k)*37*time.Millisecond + 123457
+		if got := run(readAt); got != want {
+			t.Errorf("read at %v changed the run's totals:\n got %+v\nwant %+v", readAt, got, want)
+		}
 	}
 }
